@@ -1336,8 +1336,10 @@ let serve_cmd =
       & info [ "domains"; "workers" ] ~docv:"N"
           ~doc:
             "Worker pool size: one OCaml domain (runtime-parallel worker) \
-             per unit, each with its own pipeline session.  --workers is an \
-             alias kept from the threaded server.")
+             per unit, each with its own pipeline session.  The default \
+             leaves one core to the connection threads: max(1, cores - 1), \
+             where 1 runs the worker as a thread on the main domain.  \
+             --workers is an alias kept from the threaded server.")
   in
   let queue_arg =
     Arg.(

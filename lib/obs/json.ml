@@ -7,20 +7,35 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+let hex = "0123456789abcdef"
+
+(* Copy each run of bytes that needs no escaping with one blit. *)
+let add_escaped_substring buf s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Json.add_escaped_substring";
+  let run = ref off in
+  for i = off to off + len - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      if i > !run then Buffer.add_substring buf s !run (i - !run);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf hex.[Char.code c lsr 4];
+        Buffer.add_char buf hex.[Char.code c land 0xf]);
+      run := i + 1
+    end
+  done;
+  if off + len > !run then Buffer.add_substring buf s !run (off + len - !run)
+
+let escape buf s =
+  Buffer.add_char buf '"';
+  add_escaped_substring buf s 0 (String.length s);
   Buffer.add_char buf '"'
 
 let float_repr f =
@@ -28,7 +43,7 @@ let float_repr f =
     Printf.sprintf "%.0f" f
   else Printf.sprintf "%.6g" f
 
-let rec write buf = function
+let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
@@ -39,7 +54,7 @@ let rec write buf = function
     List.iteri
       (fun i v ->
         if i > 0 then Buffer.add_char buf ',';
-        write buf v)
+        to_buffer buf v)
       vs;
     Buffer.add_char buf ']'
   | Obj fields ->
@@ -49,13 +64,13 @@ let rec write buf = function
         if i > 0 then Buffer.add_char buf ',';
         escape buf k;
         Buffer.add_char buf ':';
-        write buf v)
+        to_buffer buf v)
       fields;
     Buffer.add_char buf '}'
 
 let to_string v =
   let buf = Buffer.create 256 in
-  write buf v;
+  to_buffer buf v;
   Buffer.contents buf
 
 let to_channel oc v = output_string oc (to_string v)

@@ -22,7 +22,20 @@ type t =
 val to_string : t -> string
 (** Compact (single-line) rendering with full string escaping. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append {!to_string}'s rendering. *)
+
 val to_channel : out_channel -> t -> unit
+
+val add_escaped_substring : Buffer.t -> string -> int -> int -> unit
+(** [add_escaped_substring buf s off len] appends the body of a JSON
+    string literal (no surrounding quotes) for
+    [s.[off .. off + len - 1]]: the double quote and the backslash
+    backslash-escaped, [\n] [\r] [\t] as such, every other byte below
+    0x20 as [\u00XX], all other bytes verbatim.  Runs that need no
+    escaping are copied with one blit each.  This is the one string
+    escaper: {!to_string} uses it too.
+    @raise Invalid_argument if the range is not within [s]. *)
 
 val of_string : string -> (t, string) result
 (** Parse one complete JSON value (leading/trailing whitespace

@@ -55,6 +55,38 @@ let error ?rid ~code msg =
 let error_of ?rid (e : Secview.Error.t) =
   error ?rid ~code:(Secview.Error.to_code e) (Secview.Error.to_string e)
 
+let line j =
+  let buf = Buffer.create 256 in
+  J.to_buffer buf j;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+(* [ok ~rid []] renders as the envelope followed by one closing brace:
+   drop the brace and the answer's fields follow the same envelope
+   every other reply carries.  Each node's XML runs are JSON-escaped
+   straight into [buf] — no per-node string, no [J.t] for the
+   results. *)
+let answer_line buf ~rid nodes =
+  Buffer.clear buf;
+  J.to_buffer buf (ok ~rid []);
+  Buffer.truncate buf (Buffer.length buf - 1);
+  Buffer.add_string buf ",\"results\":[";
+  let emit s off len = J.add_escaped_substring buf s off len in
+  let count =
+    List.fold_left
+      (fun i n ->
+        if i > 0 then Buffer.add_char buf ',';
+        Buffer.add_char buf '"';
+        Sxml.Print.walk emit n;
+        Buffer.add_char buf '"';
+        i + 1)
+      0 nodes
+  in
+  Buffer.add_string buf "],\"count\":";
+  Buffer.add_string buf (string_of_int count);
+  Buffer.add_string buf "}\n";
+  Buffer.contents buf
+
 let field name obj = J.member name obj
 
 let string_field name obj = Option.bind (field name obj) J.to_string_opt

@@ -104,6 +104,25 @@ val error_of : ?rid:string -> Secview.Error.t -> Sobs.Json.t
 (** Error reply for a typed engine error: the code is
     {!Secview.Error.to_code}, the message {!Secview.Error.to_string}. *)
 
+(** {1 Wire lines} *)
+
+val line : Sobs.Json.t -> string
+(** A reply as its wire line: {!Sobs.Json.to_string} and ["\n"],
+    rendered into one buffer.  Every reply but an answer goes out
+    through this. *)
+
+val answer_line : Buffer.t -> rid:string -> Sxml.Tree.t list -> string
+(** [answer_line buf ~rid nodes] is the answer reply's wire line,
+    [{"ok":true,"v":1,"rid":R,"results":[…],"count":N}] and ["\n"],
+    where each result is the node's {!Sxml.Print.to_string} as a JSON
+    string.  It is rendered in one pass: {!Sxml.Print.walk}'s escaped
+    runs go through {!Sobs.Json.add_escaped_substring} straight into
+    [buf] (cleared first; the caller keeps it to reuse its storage),
+    and the line is the one copy out of it.  Byte-identical to
+    [line (ok ~rid [("results", List [String (Sxml.Print.to_string n); …]);
+    ("count", Int N)])], the composition the tests keep as its
+    oracle. *)
+
 val hello : ?peer:string -> string -> Sobs.Json.t
 val query_json :
   ?rid:string ->

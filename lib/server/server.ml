@@ -14,7 +14,7 @@ type config = {
 
 let default_config =
   {
-    domains = 4;
+    domains = max 1 (Domain.recommended_domain_count () - 1);
     queue_capacity = 64;
     deadline = None;
     debug = false;
@@ -61,7 +61,7 @@ type job = {
   work : work;
   submitted : float;
   deadline_at : float option;
-  cell : J.t Deadline.cell;
+  cell : string Deadline.cell;  (* the reply's finished wire line *)
 }
 
 type t = {
@@ -334,8 +334,8 @@ let parsed_request t (q : Protocol.query) k =
            the worker must survive *)
         Error (Secview.Error.Internal (Printexc.to_string exn))))
 
-(* Ok: (rendered results, translated query, plan operator counts,
-   pinned document version).  Counts are only collected when the
+(* Ok: (result nodes, translated query, plan operator counts, pinned
+   document version).  Counts are only collected when the
    slow-query log or the flight recorder could use them. *)
 let answer_query t psess ~group (q : Protocol.query) =
   parsed_request t q (fun entry path ->
@@ -357,7 +357,7 @@ let answer_query t psess ~group (q : Protocol.query) =
       with
       | Ok o ->
         Ok
-          ( List.map (fun n -> Sxml.Print.to_string n) o.Pipeline.o_results,
+          ( o.Pipeline.o_results,
             Sxpath.Print.to_string o.Pipeline.o_translated,
             o.Pipeline.o_counts,
             Catalog.snapshot_version snap )
@@ -488,7 +488,9 @@ let maybe_snapshot t ~status ~slow =
     with Sys_error _ -> count t "server.flight.snapshot_failed")
   | _ -> ()
 
-let run_job t psess job =
+(* [reply] is the worker's own buffer: an answer's line is rendered
+   into it and copied out once, into the reply cell. *)
+let run_job t psess reply job =
   let latency () = 1000. *. (Deadline.now () -. job.submitted) in
   let log ?receipt ~status ~results ?error ~latency_ms () =
     match job.work with
@@ -526,37 +528,41 @@ let run_job t psess job =
     maybe_snapshot t ~status:"timeout" ~slow:false;
     ignore
       (Deadline.fill job.cell
-         (Protocol.error_of ~rid:job.jrid
-            (Secview.Error.Timeout "deadline exceeded in queue")))
+         (Protocol.line
+            (Protocol.error_of ~rid:job.jrid
+               (Secview.Error.Timeout "deadline exceeded in queue"))))
   end
   else begin
     let rid = job.jrid in
+    let error_line e = Protocol.line (Protocol.error_of ~rid e) in
     let run_work () =
       match job.work with
       | Nap s ->
         Thread.delay s;
-        ( Protocol.ok ~rid [ ("slept_ms", J.Float (1000. *. s)) ], "ok", 0,
-          None, None, None )
+        ( Protocol.line
+            (Protocol.ok ~rid [ ("slept_ms", J.Float (1000. *. s)) ]),
+          "ok", 0, None, None, None )
       | Explain_query q -> (
         match explain_query t psess ~rid ~group:job.jgroup q with
-        | Ok reply -> (reply, "ok", 0, None, None, None)
+        | Ok j -> (Protocol.line j, "ok", 0, None, None, None)
         | Error e ->
-          ( Protocol.error_of ~rid e, "error", 0,
-            Some (Secview.Error.to_string e), None, None ))
+          ( error_line e, "error", 0, Some (Secview.Error.to_string e), None,
+            None ))
       | Do_update q -> (
         match run_update psess t ~group:job.jgroup q with
         | Ok r, _ ->
           (* the client-visible digest is of the group's view of the
              new document (Engine computed it) — the raw document's
              digest would be an equality oracle on hidden regions *)
-          ( Protocol.ok ~rid
-              [
-                ("op", J.String r.Supdate.Engine.r_op);
-                ("targets", J.Int r.Supdate.Engine.r_targets);
-                ("old_version", J.Int r.Supdate.Engine.r_old_version);
-                ("new_version", J.Int r.Supdate.Engine.r_new_version);
-                ("digest", J.String r.Supdate.Engine.r_view_digest);
-              ],
+          ( Protocol.line
+              (Protocol.ok ~rid
+                 [
+                   ("op", J.String r.Supdate.Engine.r_op);
+                   ("targets", J.Int r.Supdate.Engine.r_targets);
+                   ("old_version", J.Int r.Supdate.Engine.r_old_version);
+                   ("new_version", J.Int r.Supdate.Engine.r_new_version);
+                   ("digest", J.String r.Supdate.Engine.r_view_digest);
+                 ]),
             "ok",
             r.Supdate.Engine.r_targets,
             None,
@@ -573,25 +579,20 @@ let run_job t psess job =
             | Some d -> Secview.Error.to_string e ^ " [" ^ d ^ "]"
             | None -> Secview.Error.to_string e
           in
-          ( Protocol.error_of ~rid e, Secview.Error.to_code e, 0,
-            Some audit_error, None, None ))
+          ( error_line e, Secview.Error.to_code e, 0, Some audit_error, None,
+            None ))
       | Answer q -> (
         match answer_query t psess ~group:job.jgroup q with
-        | Ok (results, translated, counts, version) ->
-          ( Protocol.ok ~rid
-              [
-                ("results", J.List (List.map (fun s -> J.String s) results));
-                ("count", J.Int (List.length results));
-              ],
+        | Ok (nodes, translated, counts, version) ->
+          ( Protocol.answer_line reply ~rid nodes,
             "ok",
-            List.length results,
+            List.length nodes,
             None,
-            Some (q, Some translated, counts, results, Some version),
+            Some (q, Some translated, counts, nodes, Some version),
             None )
         | Error e ->
-          ( Protocol.error_of ~rid e, "error", 0,
-            Some (Secview.Error.to_string e), Some (q, None, [], [], None),
-            None ))
+          ( error_line e, "error", 0, Some (Secview.Error.to_string e),
+            Some (q, None, [], [], None), None ))
     in
     (* the whole request runs inside a synthetic "request" root span:
        its children (per-thread) are exactly this request's stages,
@@ -601,7 +602,7 @@ let run_job t psess job =
       (t.config.slow_ms <> None || Option.is_some t.recorder)
       && (match job.work with Answer _ -> true | _ -> false)
     in
-    let (reply, status, results, error, detail, receipt), spans =
+    let (line, status, results, error, detail, receipt), spans =
       match t.tracer with
       | Some tr when want_spans -> Sobs.Tracer.with_request tr run_work
       | _ -> (run_work (), [])
@@ -665,11 +666,16 @@ let run_job t psess job =
         ()
     | _ -> ());
     log ?receipt ~status ~results ?error ~latency_ms ();
+    (* The answer digest is over each node's XML: those strings are
+       built only here, when a recorder or a capture asks for them. *)
+    let answer_digest nodes =
+      Sobs.Capture.digest (List.map (fun n -> Sxml.Print.to_string n) nodes)
+    in
     (if Option.is_some t.recorder then
        let digest, counts, version =
          match (detail, receipt) with
-         | Some (_, _, counts, rendered, v), _ when error = None ->
-           (Some (Sobs.Capture.digest rendered), counts, v)
+         | Some (_, _, counts, nodes, v), _ when error = None ->
+           (Some (answer_digest nodes), counts, v)
          | Some (_, _, counts, _, v), _ -> (None, counts, v)
          | None, Some r ->
            ( Some r.Supdate.Engine.r_view_digest, [],
@@ -679,7 +685,7 @@ let run_job t psess job =
        record_flight t job ~status ~results ?error ?digest ?version
          ~latency_ms ~gc_pause_ms ~gc_pauses ~spans ~counts ());
     (match (t.capture, job.work, detail) with
-    | Some cap, Answer q, Some (_, _, _, rendered, _) when error = None ->
+    | Some cap, Answer q, Some (_, _, _, nodes, _) when error = None ->
       Sobs.Capture.write cap
         {
           Sobs.Capture.c_rid = rid;
@@ -692,7 +698,7 @@ let run_job t psess job =
           c_engine = Pipeline.engine_label t.config.engine;
           c_status = "ok";
           c_results = results;
-          c_digest = Sobs.Capture.digest rendered;
+          c_digest = answer_digest nodes;
           c_latency_ms = latency_ms;
         }
     | _ -> ());
@@ -720,7 +726,7 @@ let run_job t psess job =
         }
     | _ -> ());
     maybe_snapshot t ~status ~slow;
-    ignore (Deadline.fill job.cell reply : bool);
+    ignore (Deadline.fill job.cell line : bool);
     (* keep a ~retain:false tracer's memory bounded: this thread's
        completed spans have served their purpose.  (The server's audit
        log must NOT itself hold this tracer — its drain would re-enter
@@ -735,7 +741,7 @@ let run_job t psess job =
    update coordinator pops [t.uqueue].  Each owns its [psess] — the
    whole point of the Session split: the hot path probes caches no
    other domain can touch. *)
-let rec consumer_loop t psess queue ~track_busy =
+let rec consumer_loop t psess reply queue ~track_busy =
   match Bqueue.pop queue with
   | None -> ()
   | Some job ->
@@ -744,29 +750,29 @@ let rec consumer_loop t psess queue ~track_busy =
        Fun.protect
          ~finally:(fun () ->
            if track_busy then Atomic.decr t.busy_workers)
-         (fun () -> run_job t psess job)
+         (fun () -> run_job t psess reply job)
      with exn ->
        (* last line of defense: a worker that dies strands every
           queued request, so fill the cell and keep looping *)
        ignore
          (Deadline.fill job.cell
-            (Protocol.error_of ~rid:job.jrid
-               (Secview.Error.Internal
-                  ("internal error: " ^ Printexc.to_string exn))));
+            (Protocol.line
+               (Protocol.error_of ~rid:job.jrid
+                  (Secview.Error.Internal
+                     ("internal error: " ^ Printexc.to_string exn)))));
        count t "server.done.internal_error");
-    consumer_loop t psess queue ~track_busy
+    consumer_loop t psess reply queue ~track_busy
 
 (* ---- connection handling ------------------------------------------- *)
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
+  let len = String.length s in
   let off = ref 0 in
   while !off < len do
-    off := !off + Unix.write fd b !off (len - !off)
+    off := !off + Unix.write_substring fd s !off (len - !off)
   done
 
-let send fd json = write_all fd (J.to_string json ^ "\n")
+let send fd json = write_all fd (Protocol.line json)
 
 (* [stats_fields] is the single authority on spelling and order; the
    wire keeps the historical two-object shape ("cache" with the cache
@@ -868,8 +874,7 @@ let admission_fast_path t sess fd ~rid group (q : Protocol.query) =
       match classify_conn t ~group path with
       | Ok (Pipeline.Denied_empty witness) ->
         count t "server.admission.denied";
-        send fd
-          (Protocol.ok ~rid [ ("results", J.List []); ("count", J.Int 0) ]);
+        write_all fd (Protocol.answer_line (Buffer.create 64) ~rid []);
         let latency_ms = 1000. *. (Deadline.now () -. started) in
         audit_request t ~rid ~session:sess.sid ~peer:sess.peer ~group
           ~doc:(doc_label t q) ~query:q.text ~status:"denied_empty"
@@ -969,11 +974,13 @@ let submit t sess fd ~rid work =
     | `Ok -> (
       count t "server.accepted";
       match Deadline.await ?deadline_at:job.deadline_at job.cell with
-      | Some reply -> send fd reply
+      | Some line -> write_all fd line
       | None ->
         let timed_out =
           Deadline.fill job.cell
-            (Protocol.error_of ~rid (Secview.Error.Timeout "deadline exceeded"))
+            (Protocol.line
+               (Protocol.error_of ~rid
+                  (Secview.Error.Timeout "deadline exceeded")))
         in
         if timed_out then count t "server.timeout";
         send fd
@@ -1099,27 +1106,34 @@ let conn_loop t fd peer =
          in
          if n = 0 then alive := false
          else begin
-           Buffer.add_subbytes buf chunk 0 n;
-           (* split off and handle every complete line *)
-           let data = Buffer.contents buf in
-           Buffer.clear buf;
-           let rec lines start =
-             match String.index_from_opt data start '\n' with
-             | None ->
-               Buffer.add_substring buf data start
-                 (String.length data - start)
-             | Some nl ->
-               let line = String.sub data start (nl - start) in
+           (* Scan only the bytes just read: [buf] holds the start of
+              a line that is still arriving, so a line split over many
+              reads costs its length once, not once per read. *)
+           let start = ref 0 in
+           for i = 0 to n - 1 do
+             if Bytes.get chunk i = '\n' then begin
+               let line =
+                 if Buffer.length buf = 0 then
+                   Bytes.sub_string chunk !start (i - !start)
+                 else begin
+                   Buffer.add_subbytes buf chunk !start (i - !start);
+                   let l = Buffer.contents buf in
+                   Buffer.clear buf;
+                   l
+                 end
+               in
                let line =
                  (* tolerate CRLF clients (telnet, socat -t) *)
-                 if String.length line > 0 && line.[String.length line - 1] = '\r'
-                 then String.sub line 0 (String.length line - 1)
+                 let len = String.length line in
+                 if len > 0 && line.[len - 1] = '\r' then
+                   String.sub line 0 (len - 1)
                  else line
                in
                if String.trim line <> "" then handle_line t sess fd line;
-               lines (nl + 1)
-           in
-           lines 0
+               start := i + 1
+             end
+           done;
+           Buffer.add_subbytes buf chunk !start (n - !start)
          end
      done
    with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> ());
@@ -1266,13 +1280,16 @@ let serve t listeners =
   let run_consumer queue ~track_busy () =
     let psess = Pipeline.Session.of_slot t.slot in
     register_session t psess;
+    (* small at first: it grows to the largest reply this consumer
+       renders and keeps that storage from then on *)
+    let reply = Buffer.create 256 in
     (* With the runtime consumer on, force one minor collection on
        this domain's own ring before serving: every worker domain then
        has a [gc.pause_seconds.d<i>] series from the first scrape —
        the CI smoke's "per-domain series exist" assertion never races
        organic allocation pressure. *)
     if Option.is_some t.runtime then Gc.minor ();
-    consumer_loop t psess queue ~track_busy
+    consumer_loop t psess reply queue ~track_busy
   in
   let join_consumers =
     if t.config.domains <= 1 then begin

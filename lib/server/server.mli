@@ -128,8 +128,12 @@ type config = {
 }
 
 val default_config : config
-(** 4 worker domains, queue of 64, no deadline, no debug, plan
-    engine, no slow-query log, admission fast path on. *)
+(** [max 1 (Domain.recommended_domain_count () - 1)] worker domains —
+    one core left to the connection threads, the configuration the
+    serving benchmark measures; on two cores that is the
+    single-domain model, measured faster than more domains there —
+    queue of 64, no deadline, no debug, plan engine, no slow-query
+    log, admission fast path on. *)
 
 type listener =
   | Unix_socket of string  (** path; replaced if present, removed on drain *)

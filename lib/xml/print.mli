@@ -11,6 +11,17 @@ val escape_text : string -> string
 val escape_attr : string -> string
 (** Escape an attribute value for double-quoted output. *)
 
+type sink = string -> int -> int -> unit
+(** [emit s off len] receives the bytes [s.[off .. off + len - 1]]. *)
+
+val walk : ?indent:bool -> sink -> Tree.t -> unit
+(** [walk emit doc] serializes [doc] as a sequence of runs of
+    already-escaped output: each run of bytes that needs no escaping
+    goes to [emit] whole, as a slice of the tree's own string, and
+    each escaped byte as its entity.  The runs concatenate to
+    {!to_string}[ doc]; the walk itself allocates nothing per run.
+    Every printer below is this walk feeding a different sink. *)
+
 val to_buffer : ?indent:bool -> Buffer.t -> Tree.t -> unit
 
 val to_string : ?indent:bool -> Tree.t -> string

@@ -876,6 +876,224 @@ let test_server_drain_audit () =
      audit buffer is complete: every admitted query has its record *)
   check_audit buf queries
 
+(* ---- the answer's wire line ---------------------------------------- *)
+
+(* Reference escapers and printer, one byte at a time: the shapes
+   [Sobs.Json] and [Sxml.Print] had before they copied clean runs
+   whole.  The run-based code must agree with them byte for byte. *)
+let ref_json_string s =
+  let b = Buffer.create 16 in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let ref_xml_escape ~attr s =
+  let b = Buffer.create 16 in
+  String.iter
+    (function
+      | '&' -> Buffer.add_string b "&amp;"
+      | '<' -> Buffer.add_string b "&lt;"
+      | '>' -> Buffer.add_string b "&gt;"
+      | '"' when attr -> Buffer.add_string b "&quot;"
+      | '\'' when attr -> Buffer.add_string b "&apos;"
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let rec ref_xml (n : Sxml.Tree.t) =
+  match n.desc with
+  | Text s -> ref_xml_escape ~attr:false s
+  | Element e ->
+    let attrs =
+      String.concat ""
+        (List.map
+           (fun (k, v) ->
+             Printf.sprintf " %s=\"%s\"" k (ref_xml_escape ~attr:true v))
+           e.attrs)
+    in
+    if e.children = [] then Printf.sprintf "<%s%s/>" e.tag attrs
+    else
+      Printf.sprintf "<%s%s>%s</%s>" e.tag attrs
+        (String.concat "" (List.map ref_xml e.children))
+        e.tag
+
+(* The composition the server used to send, kept as the oracle. *)
+let oracle_line ~rid nodes =
+  J.to_string
+    (Protocol.ok ~rid
+       [
+         ( "results",
+           J.List (List.map (fun n -> J.String (Sxml.Print.to_string n)) nodes)
+         );
+         ("count", J.Int (List.length nodes));
+       ])
+  ^ "\n"
+
+(* Strings over every byte class the escapers treat differently. *)
+let gen_nasty_string =
+  let open QCheck2.Gen in
+  string_size ~gen:
+    (oneof
+       [
+         oneofl [ '"'; '\\'; '&'; '<'; '>'; '\''; '\n'; '\r'; '\t' ];
+         map Char.chr (int_range 0x00 0x1f);
+         map Char.chr (int_range 0x80 0xff);
+         char_range 'a' 'z';
+       ])
+    (int_range 0 12)
+
+let gen_nodes =
+  let open QCheck2.Gen in
+  let tag = oneofl [ "a"; "patient"; "name"; "x-y" ] in
+  let attrs =
+    let* names = oneofl [ []; [ "k" ]; [ "id"; "k" ] ] in
+    flatten_l (List.map (fun k -> map (fun v -> (k, v)) gen_nasty_string) names)
+  in
+  let rec spec depth =
+    if depth = 0 then map Sxml.Tree.text gen_nasty_string
+    else
+      frequency
+        [
+          (1, map Sxml.Tree.text gen_nasty_string);
+          ( 2,
+            let* t = tag and* a = attrs and* n = int_range 0 3 in
+            let* kids = list_repeat n (spec (depth - 1)) in
+            return (Sxml.Tree.elem t ~attrs:a kids) );
+        ]
+  in
+  list_size (int_range 0 4) (map Sxml.Tree.of_spec (spec 3))
+
+let prop_answer_line =
+  QCheck2.Test.make ~name:"answer line = J.List of printed nodes" ~count:500
+    ~print:(fun (rid, nodes) ->
+      String.escaped rid ^ " "
+      ^ String.concat " | "
+          (List.map (fun n -> String.escaped (Sxml.Print.to_string n)) nodes))
+    QCheck2.Gen.(pair gen_nasty_string gen_nodes)
+    (fun (rid, nodes) ->
+      let buf = Buffer.create 8 in
+      (* render twice into one buffer: reuse must not leak the first *)
+      let stale = Sxml.Tree.of_spec (Sxml.Tree.text "stale") in
+      ignore (Protocol.answer_line buf ~rid [ stale ]);
+      Protocol.answer_line buf ~rid nodes = oracle_line ~rid nodes
+      && List.for_all (fun n -> Sxml.Print.to_string n = ref_xml n) nodes)
+
+let prop_escapers =
+  QCheck2.Test.make ~name:"run escapers = byte-at-a-time escapers" ~count:1000
+    ~print:(fun (s, _, _) -> String.escaped s)
+    QCheck2.Gen.(triple gen_nasty_string nat nat)
+    (fun (s, i, j) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else i mod (n + 1) in
+      let len = if n - off = 0 then 0 else j mod (n - off + 1) in
+      let slice =
+        let b = Buffer.create 8 in
+        J.add_escaped_substring b s off len;
+        "\"" ^ Buffer.contents b ^ "\""
+      in
+      J.to_string (J.String s) = ref_json_string s
+      && slice = ref_json_string (String.sub s off len)
+      && Sxml.Print.escape_text s = ref_xml_escape ~attr:false s
+      && Sxml.Print.escape_attr s = ref_xml_escape ~attr:true s)
+
+let test_escaped_substring_bounds () =
+  let b = Buffer.create 8 in
+  List.iter
+    (fun (off, len) ->
+      match J.add_escaped_substring b "abc" off len with
+      | () -> Alcotest.failf "range %d,%d accepted" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 1); (0, 4); (2, 2); (1, -1) ]
+
+(* The allocation diet, pinned: answering and rendering
+   [//patient/name] on the scale-40 hospital document (444 results)
+   allocated ~95k minor words when each node was printed to its own
+   string, wrapped in a [J.t] and encoded.  Rendering straight into a
+   reused buffer leaves the answer's own ~14k. *)
+let test_answer_line_allocation () =
+  let dtd = Workload.Hospital.dtd in
+  let doc = Workload.Hospital.generated_document ~scale:40 () in
+  let sess =
+    Pipeline.Session.create
+      (Pipeline.Service.create dtd
+         ~groups:[ ("nurse", Workload.Hospital.nurse_spec dtd) ])
+  in
+  let env = Workload.Hospital.nurse_env "2" in
+  let q = Sxpath.Parse.of_string "//patient/name" in
+  let buf = Buffer.create 256 in
+  let serve () =
+    match Pipeline.Session.answer_outcome sess ~group:"nurse" ~env q doc with
+    | Ok o -> Protocol.answer_line buf ~rid:"r1-1" o.Pipeline.o_results
+    | Error e -> Alcotest.fail (Secview.Error.to_string e)
+  in
+  (* warm: translation and plan cached, buffer grown *)
+  let line = serve () in
+  Alcotest.(check int) "results" 444
+    (match J.of_string line with
+    | Ok j ->
+      Option.value ~default:0 (Option.bind (J.member "count" j) J.to_int_opt)
+    | Error _ -> 0);
+  let n = 20 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (serve ())
+  done;
+  let per = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "<= 20k minor words per answer (%.0f)" per)
+    true (per <= 20_000.)
+
+(* The line reader: a request split over many reads, several requests
+   in one read, and a CRLF-terminated request are each answered with
+   exactly the line the plain request gets. *)
+let test_server_line_framing () =
+  let doc = List.hd (adex_docs ()) in
+  with_server ~docs:[ ("d1", doc) ] () @@ fun _server path ->
+  let fd, ic = connect path in
+  send fd (Protocol.hello ~peer:"tests" "re");
+  Alcotest.(check bool) "hello" true (reply_ok (recv ic));
+  let query = "//buyer-info/contact-info" in
+  let req = J.to_string (Protocol.query_json ~rid:"f" ~doc:"d1" query) in
+  write_all fd (req ^ "\n");
+  let want = input_line ic in
+  let reference =
+    Pipeline.Session.create
+      (Pipeline.Service.create Workload.Adex.dtd ~groups:(adex_groups ()))
+  in
+  let nodes =
+    Pipeline.Session.answer_exn reference ~group:"re"
+      (Sxpath.Parse.of_string query) doc
+  in
+  Alcotest.(check bool) "non-empty answer" true (nodes <> []);
+  Alcotest.(check string) "plain line = oracle" (oracle_line ~rid:"f" nodes)
+    (want ^ "\n");
+  String.iter
+    (fun c ->
+      write_all fd (String.make 1 c);
+      Thread.delay 0.0005)
+    (req ^ "\n");
+  Alcotest.(check string) "one byte per write" want (input_line ic);
+  write_all fd (req ^ "\n" ^ req ^ "\n" ^ req ^ "\n");
+  for i = 1 to 3 do
+    Alcotest.(check string)
+      (Printf.sprintf "pipelined %d/3" i)
+      want (input_line ic)
+  done;
+  write_all fd (req ^ "\r\n");
+  Alcotest.(check string) "CRLF" want (input_line ic);
+  Unix.close fd
+
 let () =
   Alcotest.run "server"
     [
@@ -935,5 +1153,14 @@ let () =
           Alcotest.test_case "deadline" `Quick test_server_timeout;
           Alcotest.test_case "drain flushes audit" `Quick
             test_server_drain_audit;
+          Alcotest.test_case "line framing" `Quick test_server_line_framing;
+        ] );
+      ( "reply line",
+        [
+          QCheck_alcotest.to_alcotest prop_answer_line;
+          QCheck_alcotest.to_alcotest prop_escapers;
+          Alcotest.test_case "escaped substring bounds" `Quick
+            test_escaped_substring_bounds;
+          Alcotest.test_case "allocation" `Quick test_answer_line_allocation;
         ] );
     ]

@@ -116,6 +116,13 @@ echo "-- top renders the gc section"
 secview client --socket "$TMP/rt.sock" --shutdown
 wait $RSRV
 
+# The serve smokes above compare `secview client` output, which
+# re-parses the JSON and so cannot see an encoding difference.  The
+# serving benchmark's self-test checks the raw reply bytes of a live
+# server against its single-session oracle on all three workloads.
+echo "== perfbench self-test"
+bash perfbench/run.sh --self-test
+
 # The regression gate itself is gated: its self-test, then a diff of a
 # report against itself (which must never regress).
 echo "== bench_diff"
