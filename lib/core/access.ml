@@ -1,13 +1,38 @@
-module IntSet = Set.Make (Int)
+(* One document walk fills every array: [flags] holds two bits per
+   node, indexed by preorder position (identifier minus the root's):
+   bit 0 — the node is accessible; bit 1 — every conditional
+   annotation on the path from the root down to the node, the node
+   included, holds (what an explicit [Y] on one of its attributes
+   needs).  [parent], [extent] and [nodes] are the same positions'
+   parent position (-1 at the root), last subtree position and node. *)
+type t = {
+  base : int;
+  flags : Bytes.t;
+  parent : int array;
+  extent : int array;
+  nodes : Sxml.Tree.t array;
+}
 
+let accessible_bit = 1
+let chain_bit = 2
 let no_env : string -> string option = fun _ -> None
 
-let accessible_set ?(env = no_env) spec doc =
+let compute ?(env = no_env) spec (doc : Sxml.Tree.t) =
+  let n = Sxml.Tree.size doc in
+  let base = doc.id in
+  let flags = Bytes.make n '\000' in
+  let parent = Array.make n (-1) in
+  let extent = Array.make n 0 in
+  let nodes = Array.make n doc in
   let ctx = Sxpath.Eval.Ctx.make ~env ~root:doc () in
-  let result = ref IntSet.empty in
+  let next = ref 0 in
   (* anc_ok: every conditional annotation on a strict ancestor holds.
      parent_acc: the parent is accessible (for inheritance). *)
-  let rec visit ~parent_tag ~anc_ok ~parent_acc (node : Sxml.Tree.t) =
+  let rec visit ~parent_tag ~pid ~anc_ok ~parent_acc (node : Sxml.Tree.t) =
+    let i = node.id - base in
+    if i <> !next then
+      invalid_arg "Access.compute: identifiers are not dense preorder";
+    incr next;
     let child_key =
       match node.desc with
       | Sxml.Tree.Text _ -> Sdtd.Regex.pcdata
@@ -27,98 +52,79 @@ let accessible_set ?(env = no_env) spec doc =
         (anc_ok && holds, holds)
       | None -> (parent_acc, true)
     in
-    if self_acc then result := IntSet.add node.id !result;
-    match node.desc with
+    let chain = anc_ok && qual_ok in
+    Bytes.unsafe_set flags i
+      (Char.unsafe_chr
+         ((if self_acc then accessible_bit else 0)
+         lor if chain then chain_bit else 0));
+    parent.(i) <- pid;
+    nodes.(i) <- node;
+    (match node.desc with
     | Sxml.Tree.Text _ -> ()
     | Sxml.Tree.Element e ->
-      let anc_ok = anc_ok && qual_ok in
-      List.iter
-        (visit ~parent_tag:(Some e.tag) ~anc_ok ~parent_acc:self_acc)
-        e.children
+      children ~parent_tag:(Some e.tag) ~pid:i ~anc_ok:chain
+        ~parent_acc:self_acc e.children);
+    extent.(i) <- !next - 1
+  and children ~parent_tag ~pid ~anc_ok ~parent_acc = function
+    | [] -> ()
+    | c :: rest ->
+      visit ~parent_tag ~pid ~anc_ok ~parent_acc c;
+      children ~parent_tag ~pid ~anc_ok ~parent_acc rest
   in
-  visit ~parent_tag:None ~anc_ok:true ~parent_acc:true doc;
-  !result
+  visit ~parent_tag:None ~pid:(-1) ~anc_ok:true ~parent_acc:true doc;
+  { base; flags; parent; extent; nodes }
 
-let accessible ?env spec doc v =
-  IntSet.mem v.Sxml.Tree.id (accessible_set ?env spec doc)
+let flag t id bit =
+  let i = id - t.base in
+  i >= 0 && i < Bytes.length t.flags
+  && Char.code (Bytes.unsafe_get t.flags i) land bit <> 0
 
-(* Ancestor-qualifier truth along the path to a node: the same
-   condition accessibility itself uses. *)
-let rec anc_ok ~env spec ~parent_tag (target : Sxml.Tree.t)
-    (node : Sxml.Tree.t) =
-  (* walk down from [node] towards [target], conjoining qualifier
-     annotations; returns None when target is not in this subtree *)
-  let self_qual_ok () =
-    match parent_tag with
-    | None -> Some true
-    | Some parent -> (
-      match
-        Spec.annotation spec ~parent
-          ~child:
-            (match node.Sxml.Tree.desc with
-            | Sxml.Tree.Element e -> e.tag
-            | Sxml.Tree.Text _ -> Sdtd.Regex.pcdata)
-      with
-      | Some (Spec.Cond q) ->
-        Some (Sxpath.Eval.check (Sxpath.Eval.Ctx.make ~env ~root:node ()) q node)
-      | _ -> Some true)
+let mem t id = flag t id accessible_bit
+
+let parent t id =
+  let p = t.parent.(id - t.base) in
+  if p < 0 then None else Some t.nodes.(p)
+
+let extent t id = t.extent.(id - t.base) + t.base
+
+let first_inaccessible t ~lo ~hi =
+  let rec scan id =
+    if id > hi then None
+    else if mem t id then scan (id + 1)
+    else Some id
   in
-  if node.Sxml.Tree.id = target.Sxml.Tree.id then self_qual_ok ()
-  else
-    match node.Sxml.Tree.desc with
-    | Sxml.Tree.Text _ -> None
-    | Sxml.Tree.Element e ->
-      List.fold_left
-        (fun acc child ->
-          match acc with
-          | Some _ -> acc
-          | None -> (
-            match
-              anc_ok ~env spec ~parent_tag:(Some e.tag) target child
-            with
-            | Some ok -> (
-              match self_qual_ok () with
-              | Some ok' -> Some (ok && ok')
-              | None -> Some ok)
-            | None -> None))
-        None e.children
+  scan lo
 
-let accessible_attributes ?(env = no_env) ?accessible spec doc node =
+let accessible_attributes ?env ?access spec doc node =
   match node.Sxml.Tree.desc with
-  | Sxml.Tree.Text _ -> []
+  | Sxml.Tree.Text _ | Sxml.Tree.Element { attrs = []; _ } -> []
   | Sxml.Tree.Element e ->
     let declared = Sdtd.Dtd.attributes (Spec.dtd spec) e.tag in
-    let set =
-      match accessible with
-      | Some set -> set
-      | None -> accessible_set ~env spec doc
-    in
-    let node_accessible = IntSet.mem node.Sxml.Tree.id set in
-    let ancestors_ok =
-      lazy (anc_ok ~env spec ~parent_tag:None node doc = Some true)
+    let t =
+      match access with Some t -> t | None -> compute ?env spec doc
     in
     List.filter
       (fun (name, _) ->
         List.mem name declared
         &&
         match Spec.annotation spec ~parent:e.tag ~child:("@" ^ name) with
-        | Some Spec.Yes -> Lazy.force ancestors_ok
+        | Some Spec.Yes -> flag t node.Sxml.Tree.id chain_bit
         | Some (Spec.Cond _) -> false (* rejected by Spec.make *)
         | Some Spec.No -> false
-        | None -> node_accessible)
+        | None -> mem t node.Sxml.Tree.id)
       e.attrs
 
 let accessible_elements ?env spec doc =
-  let set = accessible_set ?env spec doc in
+  let t = compute ?env spec doc in
   Sxml.Tree.find_all
-    (fun n -> Sxml.Tree.is_element n && IntSet.mem n.Sxml.Tree.id set)
+    (fun n -> Sxml.Tree.is_element n && mem t n.Sxml.Tree.id)
     doc
 
 let annotate ?env ?(attribute = "accessibility") spec doc =
-  let set = accessible_set ?env spec doc in
+  let t = compute ?env spec doc in
   Sxml.Tree.map_attrs
     (fun node ->
-      let flag = if IntSet.mem node.Sxml.Tree.id set then "1" else "0" in
+      let flag = if mem t node.Sxml.Tree.id then "1" else "0" in
       let previous =
         match node.Sxml.Tree.desc with
         | Sxml.Tree.Element e ->

@@ -14,19 +14,35 @@
     the running example), but a false ancestor qualifier blocks the
     whole subtree. *)
 
-module IntSet : Set.S with type elt = int
+type t
+(** The accessibility of one document version, filled by one top-down
+    walk (qualifier evaluations aside) into dense arrays indexed by
+    preorder position: the accessibility bitmap, each node's parent,
+    the extent of its subtree, and whether every qualifier on the
+    path from the root down to the node holds.  Nodes are named by
+    their identifiers; the walked tree's identifiers must be dense
+    preorder from its root (anything {!Sxml.Tree.of_spec} or the
+    parser produced). *)
 
-val accessible_set :
-  ?env:(string -> string option) -> Spec.t -> Sxml.Tree.t -> IntSet.t
-(** Identifiers of all accessible nodes (elements and text) of the
-    document, computed in one top-down pass (qualifier evaluations
-    aside). *)
+val compute :
+  ?env:(string -> string option) -> Spec.t -> Sxml.Tree.t -> t
+(** @raise Invalid_argument when the identifiers are not dense
+    preorder. *)
 
-val accessible : ?env:(string -> string option) -> Spec.t ->
-  Sxml.Tree.t -> Sxml.Tree.t -> bool
-(** [accessible spec doc v]: is [v] (a node of [doc]) accessible?
-    Convenience wrapper over {!accessible_set}; for repeated queries
-    compute the set once. *)
+val mem : t -> int -> bool
+(** [mem t id]: is node [id] accessible?  [false] outside the walked
+    tree. *)
+
+val parent : t -> int -> Sxml.Tree.t option
+(** The parent of node [id]; [None] at the walked root. *)
+
+val extent : t -> int -> int
+(** Identifier of the last node of [id]'s subtree: the subtree is the
+    interval [\[id, extent t id\]]. *)
+
+val first_inaccessible : t -> lo:int -> hi:int -> int option
+(** The first identifier of the interval [\[lo, hi\]] that is not
+    accessible, if any. *)
 
 val accessible_elements :
   ?env:(string -> string option) -> Spec.t -> Sxml.Tree.t ->
@@ -35,7 +51,7 @@ val accessible_elements :
 
 val accessible_attributes :
   ?env:(string -> string option) ->
-  ?accessible:IntSet.t ->
+  ?access:t ->
   Spec.t ->
   Sxml.Tree.t ->
   Sxml.Tree.t ->
@@ -44,7 +60,8 @@ val accessible_attributes :
     an explicit [("A", "@name")] annotation that grants access (with
     every ancestor qualifier true), plus — when the node itself is
     accessible — its unannotated attributes.  Only attributes the DTD
-    declares for the element type are considered. *)
+    declares for the element type are considered.  [access] is the
+    document's {!compute}d accessibility, recomputed when absent. *)
 
 val annotate :
   ?env:(string -> string option) -> ?attribute:string -> Spec.t ->

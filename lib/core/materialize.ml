@@ -13,58 +13,90 @@ exception Abort of string
 
 let abort fmt = Printf.ksprintf (fun s -> raise (Abort s)) fmt
 
-let materialize ?env ~spec ~view doc =
-  let accessible = Access.accessible_set ?env spec doc in
-  let is_accessible (n : Sxml.Tree.t) =
-    Access.IntSet.mem n.id accessible
+(* A child a view element may get: a node σ extracted under a label,
+   or an accessible text child of the source. *)
+type candidate =
+  | Cand_elem of string * Sxml.Tree.t
+  | Cand_text of Sxml.Tree.t * string
+
+let position = function
+  | Cand_elem (_, n) | Cand_text (n, _) -> n.Sxml.Tree.id
+
+(* Candidates gathered newest-first, in document order and stable
+   among equal positions; the usual already-ordered case costs only
+   the reversal. *)
+let in_document_order rev =
+  let rec descending = function
+    | a :: (b :: _ as rest) -> position a >= position b && descending rest
+    | [ _ ] | [] -> true
   in
+  let ordered = List.rev rev in
+  if descending rev then ordered
+  else
+    List.stable_sort (fun a b -> Int.compare (position a) (position b)) ordered
+
+let materialize ?env ?access ~spec ~view doc =
+  let access =
+    match access with Some a -> a | None -> Access.compute ?env spec doc
+  in
+  let is_accessible (n : Sxml.Tree.t) = Access.mem access n.id in
   let attrs_of source =
-    Access.accessible_attributes ?env ~accessible spec doc source
+    Access.accessible_attributes ?env ~access spec doc source
   in
   let dtd = View.dtd view in
+  (* What building an element of a view type needs — its production,
+     the σ and dummy flag of each label it mentions, whether it admits
+     text — worked out once per type instead of once per element. *)
+  let rules = Hashtbl.create 16 in
+  let rule vlabel =
+    match Hashtbl.find_opt rules vlabel with
+    | Some r -> r
+    | None ->
+      let prod = Sdtd.Dtd.production dtd vlabel in
+      let r =
+        ( prod,
+          List.map
+            (fun b ->
+              (b, View.sigma_exn view ~parent:vlabel ~child:b,
+               View.is_dummy view b))
+            (Sdtd.Regex.labels prod),
+          Sdtd.Regex.mentions_str prod )
+      in
+      Hashtbl.replace rules vlabel r;
+      r
+  in
   let rec build vlabel (source : Sxml.Tree.t) =
-    let prod = Sdtd.Dtd.production dtd vlabel in
+    let prod, extract, with_text = rule vlabel in
     (* Candidate element children: for each label of the production,
        extract via σ; a node may be produced under several labels (it
        then appears once per label, ordered by document position). *)
-    let element_candidates =
-      List.concat_map
-        (fun b ->
-          let q = View.sigma_exn view ~parent:vlabel ~child:b in
-          let extracted =
-            Sxpath.Eval.run (Sxpath.Eval.Ctx.make ?env ~root:source ()) q
-          in
-          let kept =
-            if View.is_dummy view b then extracted
-            else List.filter is_accessible extracted
-          in
-          List.map (fun n -> (b, n)) kept)
-        (Sdtd.Regex.labels prod)
+    let tagged_rev =
+      List.fold_left
+        (fun acc (b, q, dummy) ->
+          List.fold_left
+            (fun acc (n : Sxml.Tree.t) ->
+              if dummy || is_accessible n then Cand_elem (b, n) :: acc
+              else acc)
+            acc
+            (Sxpath.Eval.run (Sxpath.Eval.Ctx.make ?env ~root:source ()) q))
+        [] extract
     in
-    let text_candidates =
-      if Sdtd.Regex.mentions_str prod then
-        List.filter_map
-          (fun (c : Sxml.Tree.t) ->
+    let tagged_rev =
+      if with_text then
+        List.fold_left
+          (fun acc (c : Sxml.Tree.t) ->
             match c.desc with
-            | Sxml.Tree.Text s when is_accessible c -> Some (c.id, s)
-            | Sxml.Tree.Text _ | Sxml.Tree.Element _ -> None)
-          (Sxml.Tree.children source)
-      else []
+            | Sxml.Tree.Text s when is_accessible c -> Cand_text (c, s) :: acc
+            | Sxml.Tree.Text _ | Sxml.Tree.Element _ -> acc)
+          tagged_rev (Sxml.Tree.children source)
+      else tagged_rev
     in
-    let tagged =
-      List.map
-        (fun (b, n) -> (n.Sxml.Tree.id, `Elem (b, n)))
-        element_candidates
-      @ List.map (fun (id, s) -> (id, `Text s)) text_candidates
-    in
-    let ordered =
-      List.sort (fun (i, _) (j, _) -> Int.compare i j) tagged
-    in
+    let ordered = in_document_order tagged_rev in
     let word =
       List.map
         (function
-          | _, `Elem (b, _) -> b
-          | _, `Text _ -> Sdtd.Regex.pcdata)
+          | Cand_elem (b, _) -> b
+          | Cand_text _ -> Sdtd.Regex.pcdata)
         ordered
     in
     if not (Sdtd.Regex.matches prod word) then
@@ -74,8 +106,8 @@ let materialize ?env ~spec ~view doc =
     let vchildren =
       List.map
         (function
-          | _, `Elem (b, n) -> Velem (build b n)
-          | _, `Text s -> Vtext s)
+          | Cand_elem (b, n) -> Velem (build b n)
+          | Cand_text (_, s) -> Vtext s)
         ordered
     in
     { vlabel; source; vattrs = attrs_of source; vchildren }

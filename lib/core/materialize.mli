@@ -30,6 +30,7 @@ exception Abort of string
 
 val materialize :
   ?env:(string -> string option) ->
+  ?access:Access.t ->
   spec:Spec.t ->
   view:View.t ->
   Sxml.Tree.t ->
@@ -40,6 +41,9 @@ val materialize :
     of the node itself is not required — dummies stand for hidden
     nodes), plus the accessible text children of [v] when the
     production mentions PCDATA; all ordered by document order.
+    [access] is the document's {!Access.compute}d accessibility under
+    [spec] and [env] — pass it when the caller already holds it;
+    otherwise it is computed here.
     @raise Abort when the resulting label word violates the
     production. *)
 

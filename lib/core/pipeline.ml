@@ -161,24 +161,12 @@ module Service = struct
     g_recursive : bool;
   }
 
-  (* The invalidation log: an immutable record swapped through one
-     Atomic.  [gen] counts every invalidation ever; [entries] keeps
-     the most recent [(gen, version)] pairs newest-first, bounded — a
-     Session that fell further behind than the log remembers clears
-     its caches wholesale instead of evicting per version. *)
-  type invlog = {
-    gen : int;
-    entries : (int * int) list;
-  }
-
-  let max_invlog = 64
-
   type t = {
     s_dtd : Sdtd.Dtd.t;
     s_views : (string, gview) Hashtbl.t;  (* read-only after create *)
     s_order : string list;
     s_catalog : Catalog.t;
-    s_inv : invlog Atomic.t;
+    s_gen : int Atomic.t;  (* committed writes *)
   }
 
   let of_views ?catalog dtd pairs =
@@ -202,7 +190,7 @@ module Service = struct
       s_views = views;
       s_order = List.map (fun (name, _, _) -> name) pairs;
       s_catalog = catalog;
-      s_inv = Atomic.make { gen = 0; entries = [] };
+      s_gen = Atomic.make 0;
     }
 
   let create ?(strict = false) ?catalog dtd ~groups =
@@ -242,30 +230,11 @@ module Service = struct
   let view t ~group = (gview t group).g_info.view
   let view_dtd t ~group = View.dtd (gview t group).g_info.view
   let spec t ~group = (gview t group).g_spec
-  let generation t = (Atomic.get t.s_inv).gen
+  let generation t = Atomic.get t.s_gen
 
-  (* Record that every translation populated on behalf of document
-     version [v] is now stale.  Lock-free: a CAS loop swaps in a new
-     log record; Sessions notice the generation moved and evict their
-     own entries lazily on their next call. *)
-  let invalidate_version t version =
-    let rec swap () =
-      let old = Atomic.get t.s_inv in
-      let rec take n = function
-        | [] -> []
-        | _ when n <= 0 -> []
-        | e :: rest -> e :: take (n - 1) rest
-      in
-      let next =
-        {
-          gen = old.gen + 1;
-          entries = (old.gen + 1, version) :: take (max_invlog - 1) old.entries;
-        }
-      in
-      if not (Atomic.compare_and_set t.s_inv old next) then swap ()
-    in
-    swap ();
-    if Trace.enabled () then Trace.count "pipeline.cache.invalidated" 1
+  (* Nothing to evict: a session's entries depend on a document only
+     through the unfolding height, which is part of their key. *)
+  let record_write t = Atomic.incr t.s_gen
 
   type slot = t Atomic.t
 
@@ -318,13 +287,21 @@ module Session = struct
       eval = Atomic.get c.c_eval;
     }
 
+  (* Both per-group caches are keyed by client query text, so
+     distinct-query traffic would grow them without limit; a cache
+     that reaches the bound is emptied wholesale, and its hot entries
+     come back on their next miss. *)
+  let max_cached = 2048
+
+  let cache_add tbl key v =
+    if Hashtbl.length tbl >= max_cached then Hashtbl.reset tbl;
+    Hashtbl.replace tbl key v
+
   type sgroup = {
     gv : Service.gview;
+    (* keyed by (query, height): the height is all a translation or
+       plan depends on of the document it answers *)
     cache : (Sxpath.Ast.path * int option, centry) Hashtbl.t;
-    (* which cache keys were populated on behalf of which document
-       version, so an invalidation can evict exactly the affected
-       document's translations/plans *)
-    byver : (int, (Sxpath.Ast.path * int option) list ref) Hashtbl.t;
     admission_cache : (Sxpath.Ast.path, admission) Hashtbl.t;
     ctr : counters;
   }
@@ -332,7 +309,6 @@ module Session = struct
   type t = {
     slot : Service.slot;
     mutable svc : Service.t;
-    mutable seen_gen : int;
     tbl : (string, sgroup) Hashtbl.t;
   }
 
@@ -340,7 +316,6 @@ module Session = struct
     {
       gv;
       cache = Hashtbl.create 32;
-      byver = Hashtbl.create 8;
       admission_cache = Hashtbl.create 32;
       ctr = (match ctr with Some c -> c | None -> fresh_counters ());
     }
@@ -361,55 +336,22 @@ module Session = struct
         in
         Hashtbl.replace sess.tbl name (fresh_sgroup ?ctr gv))
       svc.Service.s_order;
-    sess.svc <- svc;
-    sess.seen_gen <- Service.generation svc
+    sess.svc <- svc
 
   let of_slot slot =
     let svc = Service.current slot in
-    let sess = { slot; svc; seen_gen = 0; tbl = Hashtbl.create 8 } in
+    let sess = { slot; svc; tbl = Hashtbl.create 8 } in
     rebuild sess svc;
     sess
 
   let create svc = of_slot (Service.slot svc)
 
-  let evict_version sess version =
-    Hashtbl.iter
-      (fun _ sg ->
-        match Hashtbl.find_opt sg.byver version with
-        | None -> ()
-        | Some keys ->
-          List.iter (fun k -> Hashtbl.remove sg.cache k) !keys;
-          Hashtbl.remove sg.byver version)
-      sess.tbl
-
-  let clear_caches sess =
-    Hashtbl.iter
-      (fun _ sg ->
-        Hashtbl.reset sg.cache;
-        Hashtbl.reset sg.byver)
-      sess.tbl
-
   (* Catch up with the shared state: a republished service rebuilds
-     the cache table; otherwise replay the invalidation log entries
-     this session has not seen (or clear wholesale when the bounded
-     log was truncated past us).  Called on every public entry — two
-     atomic loads on the warm path. *)
+     the cache table.  Called on every public entry — one atomic load
+     on the warm path. *)
   let sync sess =
     let svc = Service.current sess.slot in
     if svc != sess.svc then rebuild sess svc
-    else begin
-      let inv = Atomic.get svc.Service.s_inv in
-      if inv.Service.gen <> sess.seen_gen then begin
-        let missed = inv.Service.gen - sess.seen_gen in
-        if missed < 0 || missed > List.length inv.Service.entries then
-          clear_caches sess
-        else
-          List.iter
-            (fun (g, v) -> if g > sess.seen_gen then evict_version sess v)
-            inv.Service.entries;
-        sess.seen_gen <- inv.Service.gen
-      end
-    end
 
   let service sess =
     sync sess;
@@ -426,7 +368,7 @@ module Session = struct
      guard themselves, so concurrent sessions on different domains
      translate in parallel.  Exactly one of hits/misses is bumped per
      call, so per-group [hits + misses] equals calls issued. *)
-  let translate_entry sess sg ~group ?height ?doc q =
+  let translate_entry sess sg ~group ?height q =
     let key = (q, height) in
     match Hashtbl.find_opt sg.cache key with
     | Some ce ->
@@ -451,24 +393,7 @@ module Session = struct
         Optimize.optimize sess.svc.Service.s_dtd rewritten
       in
       let ce = { translated = optimized; plan = Unplanned } in
-      Hashtbl.replace sg.cache key ce;
-      (* attribute the fresh entry to the document version it was
-         translated for, so an invalidation can evict it *)
-      (match doc with
-      | None -> ()
-      | Some d ->
-        let v =
-          Catalog.version (Catalog.intern sess.svc.Service.s_catalog d)
-        in
-        let keys =
-          match Hashtbl.find_opt sg.byver v with
-          | Some r -> r
-          | None ->
-            let r = ref [] in
-            Hashtbl.replace sg.byver v r;
-            r
-        in
-        if not (List.mem key !keys) then keys := key :: !keys);
+      cache_add sg.cache key ce;
       ce
 
   let translate sess ~group ?height q =
@@ -492,7 +417,7 @@ module Session = struct
             Trace.span "admission" @@ fun () ->
             analyze (View.dtd sg.gv.Service.g_info.view) q
         in
-        Hashtbl.replace sg.admission_cache q v;
+        cache_add sg.admission_cache q v;
         v
     in
     (match verdict with
@@ -624,7 +549,7 @@ module Session = struct
       Trace.audit { Trace.group; query = q; translated; cache_hit; height;
                     results; error }
     in
-    match translate_entry sess sg ~group ?height ~doc q with
+    match translate_entry sess sg ~group ?height q with
     | exception e ->
       if Trace.audit_enabled () then
         finish None 0 (Some (Printexc.to_string e));
@@ -665,7 +590,7 @@ module Session = struct
             ?index ?height q doc
         else
           let height = request_height sess sg ?height doc in
-          let ce = translate_entry sess sg ~group ?height ~doc q in
+          let ce = translate_entry sess sg ~group ?height q in
           let used, stats, thunk =
             run_engine sess sg ~group ~engine ~want_stats:counts ?env ?index
               ce doc
@@ -716,7 +641,7 @@ module Session = struct
       let generation = Service.generation sess.svc in
       match
         let height = request_height sess sg ?height doc in
-        let ce = translate_entry sess sg ~group ?height ~doc q in
+        let ce = translate_entry sess sg ~group ?height q in
         match exec_index sess ?index doc with
         | None ->
           let results = interp ?env ?index ce.translated doc in
@@ -763,98 +688,3 @@ module Session = struct
       sess.svc.Service.s_order
 
 end
-
-(* ---- deprecated single-handle facade --------------------------------- *)
-
-(* One PR of compatibility: the old mutex-everywhere [Pipeline.t] is
-   now a Session behind one lock.  Correct from any number of threads,
-   but the whole request — evaluation included — serializes; new code
-   should hold a [Service.t] and give each domain its own
-   [Session.t]. *)
-type t = {
-  lk : Mutex.t;
-  sess : Session.t;
-}
-
-type cache_stats = {
-  hits : int;
-  misses : int;
-  plan_hits : int;
-  plan_misses : int;
-  plan_compiles : int;
-  plan_fallbacks : int;
-}
-
-type admission_stats = {
-  denied : int;
-  trivial : int;
-  eval : int;
-}
-
-let wrap svc = { lk = Mutex.create (); sess = Session.create svc }
-
-let create ?strict ?catalog dtd ~groups =
-  wrap (Service.create ?strict ?catalog dtd ~groups)
-
-let create_with_views ?strict ?catalog dtd ~groups =
-  wrap (Service.create_with_views ?strict ?catalog dtd ~groups)
-
-let locked t f = Mutex.protect t.lk f
-let service t = locked t (fun () -> Session.service t.sess)
-let dtd t = Service.dtd (service t)
-let catalog t = Service.catalog (service t)
-let groups t = Service.groups (service t)
-let view t ~group = Service.view (service t) ~group
-let view_dtd t ~group = Service.view_dtd (service t) ~group
-let spec t ~group = Service.spec (service t) ~group
-let generation t = Service.generation (service t)
-let invalidate_version t version =
-  Service.invalidate_version (service t) version
-
-let translate t ~group ?height q =
-  locked t (fun () -> Session.translate t.sess ~group ?height q)
-
-let classify t ~group q = locked t (fun () -> Session.classify t.sess ~group q)
-
-let answer t ~group ?engine ?env ?index ?height q doc =
-  locked t (fun () ->
-      Session.answer t.sess ~group ?engine ?env ?index ?height q doc)
-
-let answer_exn t ~group ?engine ?env ?index ?height q doc =
-  locked t (fun () ->
-      Session.answer_exn t.sess ~group ?engine ?env ?index ?height q doc)
-
-let answer_outcome t ~group ?engine ?counts ?env ?index ?height q doc =
-  locked t (fun () ->
-      Session.answer_outcome t.sess ~group ?engine ?counts ?env ?index
-        ?height q doc)
-
-let explain t ~group ?env ?index ?height q doc =
-  locked t (fun () ->
-      Session.explain t.sess ~group ?env ?index ?height q doc)
-
-let session_stats t ~group =
-  locked t (fun () -> Session.stats_of t.sess ~group)
-
-let to_cache_stats (s : stats) : cache_stats =
-  {
-    hits = s.hits;
-    misses = s.misses;
-    plan_hits = s.plan_hits;
-    plan_misses = s.plan_misses;
-    plan_compiles = s.plan_compiles;
-    plan_fallbacks = s.plan_fallbacks;
-  }
-
-let cache_stats t ~group = to_cache_stats (session_stats t ~group)
-
-let admission_stats t ~group : admission_stats =
-  let s = session_stats t ~group in
-  { denied = s.denied; trivial = s.trivial; eval = s.eval }
-
-let stats t =
-  locked t (fun () ->
-      List.map
-        (fun (g, s) -> (g, to_cache_stats s))
-        (Session.all_stats t.sess))
-

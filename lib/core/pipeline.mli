@@ -11,23 +11,23 @@
     Each worker then owns a {!Session}: the translation cache, plan
     cache, admission-verdict cache and traffic counters for that
     worker alone.  The hot read path takes {e no locks} — a warm
-    {!Session.answer} is two atomic loads (service identity and the
-    invalidation generation) plus hash probes on caches nobody else
-    touches.  Cold translations run the rewriter/optimizer inline;
+    {!Session.answer} is one atomic load (service identity) plus hash
+    probes on caches nobody else touches.  The caches are keyed by
+    query text and hold at most 2048 entries per group each: one that
+    fills is emptied wholesale.  Cold translations run the
+    rewriter/optimizer inline;
     {!Image}'s schema-analysis memos are domain-local and guard
     themselves, so cold work on different domains proceeds in
     parallel.
 
     Writes and policy reloads publish through the service: a document
-    update swaps a new snapshot into the catalog and appends to the
-    service's invalidation log ({!Service.invalidate_version}); a
-    policy reload builds a whole new service and {!Service.publish}es
-    it on the slot sessions watch.  Sessions catch up lazily on their
-    next call — targeted eviction for invalidated versions, a full
-    rebuild on republish.
-
-    The old single-handle [Pipeline.t] API remains for one PR as a
-    deprecated facade (a Session behind one mutex). *)
+    update swaps a new snapshot into the catalog and bumps the
+    service's write generation ({!Service.record_write}) — it evicts
+    nothing, because a cached translation or plan depends on a
+    document only through the unfolding height in its key; a policy
+    reload builds a whole new service and {!Service.publish}es it on
+    the slot sessions watch, and sessions rebuild their caches on
+    their next call. *)
 
 type group = {
   name : string;
@@ -149,9 +149,9 @@ type outcome = {
     [Denied_empty] query is still run (explain shows what evaluation
     would do; the count is provably 0).  [x_doc_version] and
     [x_generation] pin the provenance: which catalog snapshot of the
-    document answered, and which invalidation generation (see
-    {!Service.generation}) the translation/plan came from — a
-    stale-plan bug is diagnosable from two explain outputs alone. *)
+    document answered, and how many writes the service had committed
+    (see {!Service.generation}) — a stale-plan bug is diagnosable from
+    two explain outputs alone. *)
 type explanation = {
   x_admission : admission;
   x_translated : Sxpath.Ast.path;
@@ -164,7 +164,7 @@ type explanation = {
 }
 
 (** The shared, immutable layer: views, specs, the document catalog
-    and the invalidation log.  One service is built at startup and
+    and the write generation.  One service is built at startup and
     handed (by value or through a {!Service.slot}) to every session on
     every domain. *)
 module Service : sig
@@ -221,19 +221,15 @@ module Service : sig
       write grant: all updates are rejected).  @raise Not_found. *)
 
   val generation : t -> int
-  (** The invalidation generation: starts at 0 and is bumped by every
-      {!invalidate_version} call, so two explain outputs with the same
-      generation are guaranteed to have executed against the same
-      logical cache contents. *)
+  (** The write generation: starts at 0 and is bumped by every
+      {!record_write}, so two explain outputs with the same generation
+      ran with no committed write between them. *)
 
-  val invalidate_version : t -> int -> unit
-  (** [invalidate_version t v] appends version [v] to the service's
-      invalidation log (lock-free) and bumps {!generation}.  Every
-      session evicts exactly the translation-cache entries (and their
-      attached plans) populated on behalf of [v], lazily, on its next
-      call.  Called by the update engine after swapping a new snapshot
-      into the catalog; unknown versions cost each session nothing
-      beyond the generation check. *)
+  val record_write : t -> unit
+  (** Bump {!generation} (lock-free).  Called by the update engine
+      after swapping a new snapshot into the catalog.  Session caches
+      stay warm: their entries are keyed by query and unfolding
+      height, and hold nothing else of the document. *)
 
   type slot = t Atomic.t
   (** Where sessions watch for republished services (policy reload):
@@ -254,8 +250,8 @@ end
     A session is {b not} thread-safe — it is the one-owner fast path.
     Give each domain (or each thread that wants isolation) its own via
     {!Session.create}/{!Session.of_slot}; sessions sharing a
-    {!Service} share documents, versions and invalidation, not cache
-    memory.  The only cross-domain traffic a session supports is
+    {!Service} share documents, versions and the write generation, not
+    cache memory.  The only cross-domain traffic a session supports is
     {e reading} its counters ({!Session.stats}/{!Session.all_stats}
     are safe to call from another domain while the owner works — the
     counters are atomics). *)
@@ -368,149 +364,3 @@ module Session : sig
   (** {!stats_of} for {e every} group, in construction order (safe
       from any domain). *)
 end
-
-(** {2 Deprecated single-handle facade}
-
-    The pre-domain API: one handle, safe from any number of threads,
-    every call — evaluation included — serialized on one internal
-    mutex.  Kept for one PR so out-of-tree callers get a warning, not
-    a break.  Migration map (also in DESIGN.md §12):
-    {ul
-    {- [create]/[create_with_views] → {!Service.create} /
-       {!Service.create_with_views}, then one {!Session.create} per
-       worker;}
-    {- [answer]/[answer_outcome]/[explain]/[classify]/[translate] →
-       the same names under {!Session};}
-    {- [cache_stats]/[admission_stats]/[stats] → {!Session.stats_of} /
-       {!Session.all_stats} (one unified {!stats} record);}
-    {- [invalidate_version]/[generation]/accessors → the same names
-       under {!Service}.}} *)
-
-type t
-[@@deprecated "use Pipeline.Service + Pipeline.Session"]
-
-type cache_stats = {
-  hits : int;
-  misses : int;
-  plan_hits : int;
-  plan_misses : int;
-  plan_compiles : int;
-  plan_fallbacks : int;
-}
-[@@deprecated "use Pipeline.stats (Session.stats_of / Session.all_stats)"]
-
-type admission_stats = {
-  denied : int;
-  trivial : int;
-  eval : int;
-}
-[@@deprecated "use Pipeline.stats (Session.stats_of / Session.all_stats)"]
-
-[@@@alert "-deprecated"]
-[@@@warning "-3"]
-
-val create :
-  ?strict:bool ->
-  ?catalog:Catalog.t ->
-  Sdtd.Dtd.t ->
-  groups:(string * Spec.t) list ->
-  t
-[@@deprecated "use Pipeline.Service.create + Pipeline.Session.create"]
-
-val create_with_views :
-  ?strict:bool ->
-  ?catalog:Catalog.t ->
-  Sdtd.Dtd.t ->
-  groups:(string * View.t) list ->
-  t
-[@@deprecated
-  "use Pipeline.Service.create_with_views + Pipeline.Session.create"]
-
-val service : t -> Service.t
-[@@deprecated "hold the Service directly"]
-
-val dtd : t -> Sdtd.Dtd.t [@@deprecated "use Pipeline.Service.dtd"]
-val catalog : t -> Catalog.t [@@deprecated "use Pipeline.Service.catalog"]
-val groups : t -> group list [@@deprecated "use Pipeline.Service.groups"]
-
-val view : t -> group:string -> View.t
-[@@deprecated "use Pipeline.Service.view"]
-
-val view_dtd : t -> group:string -> Sdtd.Dtd.t
-[@@deprecated "use Pipeline.Service.view_dtd"]
-
-val spec : t -> group:string -> Spec.t option
-[@@deprecated "use Pipeline.Service.spec"]
-
-val generation : t -> int [@@deprecated "use Pipeline.Service.generation"]
-
-val invalidate_version : t -> int -> unit
-[@@deprecated "use Pipeline.Service.invalidate_version"]
-
-val translate :
-  t -> group:string -> ?height:int -> Sxpath.Ast.path -> Sxpath.Ast.path
-[@@deprecated "use Pipeline.Session.translate"]
-
-val classify :
-  t -> group:string -> Sxpath.Ast.path -> (admission, Error.t) result
-[@@deprecated "use Pipeline.Session.classify"]
-
-val answer :
-  t ->
-  group:string ->
-  ?engine:engine ->
-  ?env:(string -> string option) ->
-  ?index:Sxml.Index.t ->
-  ?height:int ->
-  Sxpath.Ast.path ->
-  Sxml.Tree.t ->
-  (Sxml.Tree.t list, Error.t) result
-[@@deprecated "use Pipeline.Session.answer"]
-
-val answer_exn :
-  t ->
-  group:string ->
-  ?engine:engine ->
-  ?env:(string -> string option) ->
-  ?index:Sxml.Index.t ->
-  ?height:int ->
-  Sxpath.Ast.path ->
-  Sxml.Tree.t ->
-  Sxml.Tree.t list
-[@@deprecated "use Pipeline.Session.answer_exn"]
-
-val answer_outcome :
-  t ->
-  group:string ->
-  ?engine:engine ->
-  ?counts:bool ->
-  ?env:(string -> string option) ->
-  ?index:Sxml.Index.t ->
-  ?height:int ->
-  Sxpath.Ast.path ->
-  Sxml.Tree.t ->
-  (outcome, Error.t) result
-[@@deprecated "use Pipeline.Session.answer_outcome"]
-
-val explain :
-  t ->
-  group:string ->
-  ?env:(string -> string option) ->
-  ?index:Sxml.Index.t ->
-  ?height:int ->
-  Sxpath.Ast.path ->
-  Sxml.Tree.t ->
-  (explanation, Error.t) result
-[@@deprecated "use Pipeline.Session.explain"]
-
-val session_stats : t -> group:string -> stats
-[@@deprecated "use Pipeline.Session.stats_of"]
-
-val cache_stats : t -> group:string -> cache_stats
-[@@deprecated "use Pipeline.Session.stats_of"]
-
-val admission_stats : t -> group:string -> admission_stats
-[@@deprecated "use Pipeline.Session.stats_of"]
-
-val stats : t -> (string * cache_stats) list
-[@@deprecated "use Pipeline.Session.all_stats"]

@@ -1,98 +1,76 @@
-module IntSet = Secview.Access.IntSet
+module Access = Secview.Access
 module Tree = Sxml.Tree
 module Error = Secview.Error
-
-(* Parent node of every node id, for edge-grant lookups. *)
-let parent_map doc =
-  let tbl = Hashtbl.create 64 in
-  Tree.iter
-    (fun n -> List.iter (fun c -> Hashtbl.replace tbl c.Tree.id n) (Tree.children n))
-    doc;
-  tbl
 
 let rec spec_size = function
   | Tree.E (_, _, cs) ->
     List.fold_left (fun acc c -> acc + spec_size c) 1 cs
   | Tree.T _ -> 1
 
-(* Rebuild the document with the edit applied, numbering the candidate
-   in of_spec's preorder as we go so the spliced content's id
-   intervals in the new document are known without re-finding it, and
-   recording the old id -> new id mapping of every surviving node so
-   accessibility can be compared across the edit.  Exactly one of the
-   target sets is non-empty per update. *)
-type edit = {
-  delete : IntSet.t;
-  replace : IntSet.t;
-  insert_into : IntSet.t;
-  insert_before : IntSet.t;
-  insert_after : IntSet.t;
-  content : Tree.spec option;
-}
-
-let no_edit =
-  {
-    delete = IntSet.empty;
-    replace = IntSet.empty;
-    insert_into = IntSet.empty;
-    insert_before = IntSet.empty;
-    insert_after = IntSet.empty;
-    content = None;
-  }
-
-let splice doc edit =
-  let csize =
-    match edit.content with Some c -> spec_size c | None -> 0
+(* Rebuild the document with the edit applied at every node [is_target]
+   names, numbering the candidate in of_spec's preorder as we go so the
+   spliced content's id intervals in the new document are known
+   without re-finding it, and recording in [survivors] (indexed by old
+   preorder position, -1 for removed nodes) the new id of every
+   surviving node so accessibility can be compared across the
+   edit. *)
+let splice doc update ~is_target =
+  let content =
+    match update with
+    | Ast.Delete _ -> None
+    | Ast.Insert { content; _ } | Ast.Replace { content; _ } -> Some content
   in
+  let csize = match content with Some c -> spec_size c | None -> 0 in
+  let base = doc.Tree.id in
+  let survivors = Array.make (Tree.size doc) (-1) in
   let intervals = ref [] in
-  let survivors = Hashtbl.create 256 in
-  let emit_content pos =
-    intervals := (pos, pos + csize) :: !intervals;
-    (Option.get edit.content, pos + csize)
+  let pos = ref 0 in
+  let emit_content acc =
+    intervals := (!pos, !pos + csize) :: !intervals;
+    pos := !pos + csize;
+    Option.get content :: acc
   in
-  let rec go (n : Tree.t) pos =
-    if IntSet.mem n.Tree.id edit.delete then ([], pos)
-    else if IntSet.mem n.Tree.id edit.replace then begin
-      let c, pos = emit_content pos in
-      ([ c ], pos)
-    end
-    else
+  (* where the edit lands at a target: in its place, or inserted *)
+  let place =
+    match update with
+    | Ast.Insert { pos; _ } -> Some pos
+    | Ast.Delete _ | Ast.Replace _ -> None
+  in
+  let at p id = is_target id && place = p in
+  (* [go acc n] pushes what [n] becomes onto [acc], a reversed sibling
+     list: nothing (delete), the content (replace), or its copy. *)
+  let rec go acc (n : Tree.t) =
+    if at None n.Tree.id then
+      match update with
+      | Ast.Delete _ -> acc
+      | Ast.Insert _ | Ast.Replace _ -> emit_content acc
+    else begin
+      survivors.(n.Tree.id - base) <- !pos;
+      incr pos;
       match n.Tree.desc with
-      | Tree.Text s ->
-        Hashtbl.replace survivors n.Tree.id pos;
-        ([ Tree.T s ], pos + 1)
+      | Tree.Text s -> Tree.T s :: acc
       | Tree.Element e ->
-        Hashtbl.replace survivors n.Tree.id pos;
-        let children_rev, pos =
-          List.fold_left
-            (fun (acc, pos) (c : Tree.t) ->
-              let acc, pos =
-                if IntSet.mem c.Tree.id edit.insert_before then begin
-                  let s, pos = emit_content pos in
-                  (s :: acc, pos)
-                end
-                else (acc, pos)
-              in
-              let cs, pos = go c pos in
-              let acc = List.rev_append cs acc in
-              if IntSet.mem c.Tree.id edit.insert_after then begin
-                let s, pos = emit_content pos in
-                (s :: acc, pos)
-              end
-              else (acc, pos))
-            ([], pos + 1) e.Tree.children
+        let children = copy_children [] e.Tree.children in
+        let children =
+          if at (Some Ast.Into) n.Tree.id then emit_content children
+          else children
         in
-        let children_rev, pos =
-          if IntSet.mem n.Tree.id edit.insert_into then begin
-            let s, pos = emit_content pos in
-            (s :: children_rev, pos)
-          end
-          else (children_rev, pos)
-        in
-        ([ Tree.E (e.Tree.tag, e.Tree.attrs, List.rev children_rev) ], pos)
+        Tree.E (e.Tree.tag, e.Tree.attrs, List.rev children) :: acc
+    end
+  and copy_children acc = function
+    | [] -> acc
+    | (c : Tree.t) :: rest ->
+      let acc =
+        if at (Some Ast.Before) c.Tree.id then emit_content acc else acc
+      in
+      let acc = go acc c in
+      let acc =
+        if at (Some Ast.After) c.Tree.id then emit_content acc else acc
+      in
+      copy_children acc rest
   in
-  match go doc 0 with
-  | [ root ], _ -> (Tree.of_spec root, List.rev !intervals, survivors)
+  match go [] doc with
+  | [ root ] -> (Tree.of_spec root, List.rev !intervals, survivors)
   | _ -> invalid_arg "Check.splice: the edit removed the document root"
 
 let denied fmt = Printf.ksprintf (fun s -> Error.Update_denied s) fmt
@@ -138,8 +116,7 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
       Error (invalid "target matches no node of the view")
     else Ok ()
   in
-  let parents = parent_map doc in
-  let acc = Secview.Access.accessible_set ?env spec doc in
+  let acc = Access.compute ?env spec doc in
   let op = Ast.op update in
   let edge_grant ~parent ~child =
     if Secview.Spec.writable spec ~parent ~child op then Ok ()
@@ -150,7 +127,7 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
            parent child)
   in
   let parent_tag (t : Tree.t) =
-    match Hashtbl.find_opt parents t.Tree.id with
+    match Access.parent acc t.Tree.id with
     | Some p -> (
       match Tree.tag p with Some tag -> Ok tag | None -> assert false)
     | None ->
@@ -163,21 +140,18 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
      The precise, id-bearing reason goes to [audit] instead — the
      server writes it to the operator's audit log only. *)
   let subtree_accessible (t : Tree.t) =
-    match
-      List.find_opt
-        (fun (n : Tree.t) -> not (IntSet.mem n.Tree.id acc))
-        (Tree.descendants_or_self t)
-    with
+    let id = t.Tree.id in
+    match Access.first_inaccessible acc ~lo:id ~hi:(Access.extent acc id) with
     | None -> Ok ()
     | Some n ->
       audit
         (Printf.sprintf
            "target subtree at node id %d contains inaccessible node id %d"
-           t.Tree.id n.Tree.id);
+           id n);
       Error (denied "target subtree contains inaccessible content")
   in
   let target_accessible (t : Tree.t) =
-    if IntSet.mem t.Tree.id acc then Ok ()
+    if Access.mem acc t.Tree.id then Ok ()
     else begin
       audit (Printf.sprintf "target node id %d is not accessible" t.Tree.id);
       Error (denied "target node is not accessible")
@@ -220,22 +194,14 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
       (fun acc t -> Result.bind acc (fun () -> check_target t))
       (Ok ()) targets
   in
-  let ids = List.fold_left (fun s (t : Tree.t) -> IntSet.add t.Tree.id s)
-      IntSet.empty targets
+  let base = doc.Tree.id in
+  let marks = Bytes.make (Tree.size doc) '\000' in
+  List.iter (fun (t : Tree.t) -> Bytes.set marks (t.Tree.id - base) '\001')
+    targets;
+  let candidate, intervals, survivors =
+    splice doc update ~is_target:(fun id ->
+        Bytes.unsafe_get marks (id - base) <> '\000')
   in
-  let edit =
-    match update with
-    | Ast.Delete _ -> { no_edit with delete = ids }
-    | Ast.Replace { content; _ } ->
-      { no_edit with replace = ids; content = Some content }
-    | Ast.Insert { pos; content; _ } -> (
-      let content = Some content in
-      match pos with
-      | Ast.Into -> { no_edit with insert_into = ids; content }
-      | Ast.Before -> { no_edit with insert_before = ids; content }
-      | Ast.After -> { no_edit with insert_after = ids; content })
-  in
-  let candidate, intervals, survivors = splice doc edit in
   let* () =
     match Sdtd.Validate.check dtd candidate with
     | [] -> Ok ()
@@ -244,22 +210,18 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
         (invalid "result does not conform to the DTD: %s"
            (Format.asprintf "%a" Sdtd.Validate.pp_violation v))
   in
-  let acc' = Secview.Access.accessible_set ?env spec candidate in
+  let acc' = Access.compute ?env spec candidate in
   let* () =
     (* A group cannot write data it could not then read back: every
        node of the spliced content must be accessible in the new
        document.  (Deletes have no intervals; their admission was the
        subtree check above.) *)
-    let bad =
+    if
       List.exists
         (fun (lo, hi) ->
-          let rec any i =
-            i < hi && ((not (IntSet.mem i acc')) || any (i + 1))
-          in
-          any lo)
+          Access.first_inaccessible acc' ~lo ~hi:(hi - 1) <> None)
         intervals
-    in
-    if bad then Error (denied "inserted content would not be accessible")
+    then Error (denied "inserted content would not be accessible")
     else Ok ()
   in
   let* () =
@@ -268,17 +230,17 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
        annotations a narrowly-granted write can otherwise satisfy (or
        falsify) a qualifier guarding a pre-existing sibling subtree
        and unlock data the group was never granted — so compare
-       accessibility of every surviving node across the edit. *)
-    let flipped = ref None in
-    Tree.iter
-      (fun (n : Tree.t) ->
-        if !flipped = None then
-          match Hashtbl.find_opt survivors n.Tree.id with
-          | Some nid when IntSet.mem n.Tree.id acc <> IntSet.mem nid acc' ->
-            flipped := Some (n.Tree.id, IntSet.mem nid acc')
-          | _ -> ())
-      doc;
-    match !flipped with
+       accessibility of every surviving node across the edit, in
+       document order. *)
+    let rec scan i =
+      if i >= Array.length survivors then None
+      else
+        let nid = survivors.(i) in
+        if nid >= 0 && Access.mem acc (base + i) <> Access.mem acc' nid then
+          Some (base + i, Access.mem acc' nid)
+        else scan (i + 1)
+    in
+    match scan 0 with
     | None -> Ok ()
     | Some (id, now) ->
       audit
@@ -287,4 +249,4 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
            (if now then "accessible" else "inaccessible"));
       Error (denied "update would change the visibility of existing content")
   in
-  Ok (candidate, List.length targets)
+  Ok (candidate, List.length targets, acc')

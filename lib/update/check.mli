@@ -22,6 +22,13 @@
       are denied;
     - the resulting document must conform to the document DTD.
 
+    Every check reads the dense arrays of {!Secview.Access.t}: one
+    accessibility pass over the old document, one over the candidate.
+    Subtree checks scan the bitmap over a target's identifier
+    interval, edge grants read the parent array, and preservation
+    compares the two bitmaps through the splice's old-id → new-id
+    array.
+
     The check is atomic by construction: it computes a candidate
     document purely and either returns it or an error — nothing
     partial ever escapes. *)
@@ -35,11 +42,12 @@ val run :
   ?audit:(string -> unit) ->
   Sxml.Tree.t ->
   Ast.t ->
-  (Sxml.Tree.t * int, Secview.Error.t) result
-(** [run ~dtd ~spec ~view doc u] is [(new_doc, targets)] when the
-    update is admitted: the rebuilt document (fresh dense-preorder
-    identifiers, root id 0) and how many view nodes the target path
-    matched.  [height] is the unfolding bound for recursive views
+  (Sxml.Tree.t * int * Secview.Access.t, Secview.Error.t) result
+(** [run ~dtd ~spec ~view doc u] is [(new_doc, targets, access)] when
+    the update is admitted: the rebuilt document (fresh dense-preorder
+    identifiers, root id 0), how many view nodes the target path
+    matched, and the new document's accessibility — computed for the
+    check, handed on so the caller need not compute it again.  [height] is the unfolding bound for recursive views
     (like {!Secview.Pipeline.translate}).
 
     Errors: [Update_denied] (missing grant, inaccessible target

@@ -18,12 +18,12 @@ type receipt = {
    whole-document value).  MD5 of the serialized materialized view —
    the same digest function Sobs.Capture uses, so capture/replay can
    compare it directly. *)
-let view_digest ?env ~spec ~view doc =
+let view_digest ?env ?access ~spec ~view doc =
   let rendered =
     try
       Sxml.Print.to_string
         (Secview.Materialize.to_tree
-           (Secview.Materialize.materialize ?env ~spec ~view doc))
+           (Secview.Materialize.materialize ?env ?access ~spec ~view doc))
     with Secview.Materialize.Abort _ -> ""
   in
   Digest.to_hex (Digest.string rendered)
@@ -56,13 +56,13 @@ let apply svc ~group ?env ?audit ~entry update =
       Some (Catalog.snapshot_height (Pipeline.Service.catalog svc) snapshot)
     else None
   in
-  let* candidate, targets =
+  let* candidate, targets, access =
     Check.run ~dtd:(Pipeline.Service.dtd svc) ~spec ~view ?env ?height ?audit
       doc update
   in
   let old_version = Catalog.snapshot_version snapshot in
   let new_version = Catalog.update entry candidate in
-  Pipeline.Service.invalidate_version svc old_version;
+  Pipeline.Service.record_write svc;
   Ok
     {
       r_op = Ast.op_label update;
@@ -70,7 +70,7 @@ let apply svc ~group ?env ?audit ~entry update =
       r_old_version = old_version;
       r_new_version = new_version;
       r_doc = candidate;
-      r_view_digest = view_digest ?env ~spec ~view candidate;
+      r_view_digest = view_digest ?env ~access ~spec ~view candidate;
     }
 
 let apply_text svc ~group ?env ?audit ~entry text =

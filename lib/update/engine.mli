@@ -5,13 +5,13 @@
     group's policy and view, pin the document's current catalog
     snapshot, admit the update through {!Check.run}, and — only on
     admission — swap the rebuilt document in as a new snapshot
-    ({!Secview.Catalog.update}) and append the old version to the
-    service's invalidation log
-    ({!Secview.Pipeline.Service.invalidate_version}) so every session
-    evicts its stale translations/plans on its next call.  A rejected
-    update
-    returns before any of that: document, index, catalog version and
-    caches are bit-for-bit untouched.
+    ({!Secview.Catalog.update}) and bump the service's write
+    generation ({!Secview.Pipeline.Service.record_write}).  Session
+    caches stay warm across the swap: their entries depend on the
+    document only through the unfolding height in their key.  A
+    rejected update returns before any of that: document, index,
+    catalog version, generation and caches are bit-for-bit
+    untouched.
 
     Concurrency: readers pinned on the old snapshot are never torn
     (snapshots are immutable), but two {e writers} racing on the same
@@ -31,6 +31,19 @@ type receipt = {
           of the raw document would be an equality oracle on content
           the view hides. *)
 }
+
+val view_digest :
+  ?env:(string -> string option) ->
+  ?access:Secview.Access.t ->
+  spec:Secview.Spec.t ->
+  view:Secview.View.t ->
+  Sxml.Tree.t ->
+  string
+(** MD5 (hex) of the serialized materialized view of a document — the
+    receipt's [r_view_digest]; the digest of [""] when materialization
+    aborts.  [access] is the document's accessibility under [spec] and
+    [env] when the caller already holds it ({!apply} passes the one
+    {!Check.run} computed). *)
 
 val apply :
   Secview.Pipeline.Service.t ->

@@ -28,17 +28,21 @@ let doc () =
          ]))
 
 let tags_of_accessible spec doc =
-  let set = Access.accessible_set spec doc in
+  let access = Access.compute spec doc in
   List.filter_map
     (fun n ->
-      if Access.IntSet.mem n.Sxml.Tree.id set then Sxml.Tree.tag n else None)
+      if Access.mem access n.Sxml.Tree.id then Sxml.Tree.tag n else None)
     (Sxml.Tree.descendants_or_self doc)
 
 let test_all_inherit_root_yes () =
   let spec = Spec.make dtd [] in
+  let d = doc () in
+  let access = Access.compute spec d in
   Alcotest.(check int)
-    "everything accessible" (Sxml.Tree.size (doc ()))
-    (Access.IntSet.cardinal (Access.accessible_set spec (doc ())))
+    "everything accessible" (Sxml.Tree.size d)
+    (Sxml.Tree.fold
+       (fun k n -> if Access.mem access n.Sxml.Tree.id then k + 1 else k)
+       0 d)
 
 let test_no_blocks_subtree_by_inheritance () =
   let spec = Spec.make dtd [ (("r", "b"), Spec.No) ] in
@@ -77,10 +81,10 @@ let test_false_ancestor_qualifier_blocks_explicit_yes () =
 
 let test_pcdata_annotation () =
   let spec = Spec.make dtd [ (("x", R.pcdata), Spec.No) ] in
-  let set = Access.accessible_set spec (doc ()) in
+  let access = Access.compute spec (doc ()) in
   let accessible_texts =
     List.filter
-      (fun n -> Sxml.Tree.is_text n && Access.IntSet.mem n.Sxml.Tree.id set)
+      (fun n -> Sxml.Tree.is_text n && Access.mem access n.Sxml.Tree.id)
       (Sxml.Tree.descendants_or_self (doc ()))
   in
   Alcotest.(check int) "only y texts remain" 2 (List.length accessible_texts)
@@ -89,11 +93,11 @@ let test_env_variable_condition () =
   let q = Sxpath.Parse.qual_of_string "x = $which" in
   let spec = Spec.make dtd [ (("r", "a"), Spec.Cond q) ] in
   let env v = if v = "which" then Some "ax" else None in
-  let set = Access.accessible_set ~env spec (doc ()) in
+  let access = Access.compute ~env spec (doc ()) in
   Alcotest.(check bool) "a accessible under binding" true
     (List.exists
        (fun n ->
-         Sxml.Tree.tag n = Some "a" && Access.IntSet.mem n.Sxml.Tree.id set)
+         Sxml.Tree.tag n = Some "a" && Access.mem access n.Sxml.Tree.id)
        (Sxml.Tree.descendants_or_self (doc ())))
 
 let test_make_rejects_non_edges () =
@@ -145,6 +149,28 @@ let test_accessible_elements_ordered () =
   let ids = List.map (fun n -> n.Sxml.Tree.id) elems in
   Alcotest.(check (list int)) "document order" (List.sort compare ids) ids
 
+(* The bitmap against the balanced-set pass it replaced, on every
+   node of generated hospital documents under the ward-qualified nurse
+   policy, for a ward that qualifies and one that does not. *)
+let test_bitmap_matches_reference () =
+  let dtd = Workload.Hospital.dtd in
+  let spec = Workload.Hospital.nurse_spec dtd in
+  List.iter
+    (fun (seed, ward) ->
+      let doc = Workload.Hospital.generated_document ~seed ~scale:2 () in
+      let env = Workload.Hospital.nurse_env ward in
+      let access = Access.compute ~env spec doc in
+      let reference = Reference.accessible_set ~env spec doc in
+      Sxml.Tree.iter
+        (fun n ->
+          let id = n.Sxml.Tree.id in
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d ward %s node %d" seed ward id)
+            (Reference.IntSet.mem id reference)
+            (Access.mem access id))
+        doc)
+    [ (1, "6"); (2, "6"); (3, "7"); (4, "99") ]
+
 let () =
   Alcotest.run "access"
     [
@@ -165,6 +191,8 @@ let () =
             test_env_variable_condition;
           Alcotest.test_case "ordered output" `Quick
             test_accessible_elements_ordered;
+          Alcotest.test_case "bitmap matches reference" `Quick
+            test_bitmap_matches_reference;
         ] );
       ( "specification",
         [

@@ -131,6 +131,25 @@ let test_explicit_y_attribute_on_hidden_element () =
     [ "owner" ]
     (List.map fst (Access.accessible_attributes spec' d r))
 
+let test_explicit_y_attribute_needs_qualifiers () =
+  (* an explicit Y on @owner needs every qualifier on the path from
+     the root, the element's own included: the first record satisfies
+     [note = "hello"], the second does not *)
+  let spec' =
+    Spec.make dtd
+      [
+        ( ("db", "record"),
+          Spec.Cond (Sxpath.Parse.qual_of_string "note = \"hello\"") );
+        (("record", "@owner"), Spec.Yes);
+      ]
+  in
+  let d = doc () in
+  Alcotest.(check (list (list string))) "owner exposed on the first only"
+    [ [ "id"; "owner" ]; [] ]
+    (List.map
+       (fun r -> List.map fst (Access.accessible_attributes spec' d r))
+       (eval (parse "record") d))
+
 let test_view_dtd_attributes () =
   let view = Derive.derive spec in
   Alcotest.(check (list string)) "view record keeps only @id" [ "id" ]
@@ -240,6 +259,8 @@ let () =
             test_accessible_attributes;
           Alcotest.test_case "explicit Y on hidden element" `Quick
             test_explicit_y_attribute_on_hidden_element;
+          Alcotest.test_case "explicit Y needs qualifiers" `Quick
+            test_explicit_y_attribute_needs_qualifiers;
         ] );
       ( "pipeline",
         [

@@ -37,7 +37,7 @@ let test_hospital_sound_and_complete () =
      the document; dummy sources are inaccessible. *)
   let spec, view, env, doc = hospital_setup () in
   let vt = Materialize.materialize ~env ~spec ~view doc in
-  let accessible = Access.accessible_set ~env spec doc in
+  let accessible = Access.compute ~env spec doc in
   let sources = Materialize.element_sources vt in
   let non_dummy_sources =
     List.filter_map
@@ -47,7 +47,7 @@ let test_hospital_sound_and_complete () =
   let accessible_element_ids =
     List.filter_map
       (fun n ->
-        if Sxml.Tree.is_element n && Access.IntSet.mem n.Sxml.Tree.id accessible
+        if Sxml.Tree.is_element n && Access.mem accessible n.Sxml.Tree.id
         then Some n.Sxml.Tree.id
         else None)
       (Sxml.Tree.descendants_or_self doc)
@@ -61,7 +61,7 @@ let test_hospital_sound_and_complete () =
         Alcotest.(check bool)
           (Printf.sprintf "dummy source %d inaccessible" id)
           false
-          (Access.IntSet.mem id accessible))
+          (Access.mem accessible id))
     sources
 
 let test_ward_filtering () =

@@ -60,6 +60,22 @@ let test_translation_and_cache () =
   let s' : Pipeline.stats = Pipeline.Session.stats_of p ~group:"billing" in
   Alcotest.(check int) "billing untouched" 0 s'.hits
 
+(* Distinct-query traffic cannot grow a session without limit: the
+   2049th distinct translation empties the 2048-entry cache, so the
+   first query misses again and the newest one hits. *)
+let test_cache_is_bounded () =
+  let p = Pipeline.Session.create (hospital_service ()) in
+  let q k = parse (Printf.sprintf "//patient[name = \"p%d\"]/name" k) in
+  let translate k = ignore (Pipeline.Session.translate p ~group:"nurses" (q k)) in
+  for k = 0 to 2048 do
+    translate k
+  done;
+  translate 0;
+  translate 2048;
+  let s : Pipeline.stats = Pipeline.Session.stats_of p ~group:"nurses" in
+  Alcotest.(check (pair int int)) "first evicted, newest kept" (2050, 1)
+    (s.misses, s.hits)
+
 let test_answers_match_manual_pipeline () =
   let dtd = Workload.Hospital.dtd in
   let spec = Workload.Hospital.nurse_spec dtd in
@@ -148,6 +164,7 @@ let () =
         [
           Alcotest.test_case "translation cache" `Quick
             test_translation_and_cache;
+          Alcotest.test_case "bounded cache" `Quick test_cache_is_bounded;
           Alcotest.test_case "matches manual pipeline" `Quick
             test_answers_match_manual_pipeline;
           Alcotest.test_case "recursive group" `Quick test_recursive_group;

@@ -169,7 +169,7 @@ let prop_derive_sound_complete =
       | vt ->
         let tree = Materialize.to_tree vt in
         let conforms = Sdtd.Validate.conforms (View.dtd view) tree in
-        let accessible = Access.accessible_set spec doc in
+        let accessible = Access.compute spec doc in
         let sources = Materialize.element_sources vt in
         let non_dummy =
           List.filter_map
@@ -180,7 +180,7 @@ let prop_derive_sound_complete =
         let expected =
           List.filter_map
             (fun (n : Sxml.Tree.t) ->
-              if Sxml.Tree.is_element n && Access.IntSet.mem n.id accessible
+              if Sxml.Tree.is_element n && Access.mem accessible n.id
               then Some n.id
               else None)
             (Sxml.Tree.descendants_or_self doc)
@@ -272,7 +272,7 @@ let prop_rewrite_output_is_secure =
       | vt ->
         let height = element_height doc in
         let pt = Rewrite.rewrite_with_height view ~height q in
-        let accessible = Access.accessible_set spec doc in
+        let accessible = Access.compute spec doc in
         let dummy_sources =
           List.filter_map
             (fun (l, id) -> if View.is_dummy view l then Some id else None)
@@ -280,7 +280,7 @@ let prop_rewrite_output_is_secure =
         in
         List.for_all
           (fun (n : Sxml.Tree.t) ->
-            Access.IntSet.mem n.id accessible
+            Access.mem accessible n.id
             || List.mem n.id dummy_sources)
           (eval pt doc))
 
@@ -323,6 +323,24 @@ let prop_indexed_rewrite_equivalent =
       let idx = Sxml.Index.build doc in
       ids (eval pt doc) = ids (eval ~index:idx pt doc))
 
+(* The bitmap walk against the balanced-set pass it replaced, on every
+   node: accessibility, parent and subtree extent. *)
+let prop_access_matches_reference =
+  QCheck2.Test.make ~name:"access bitmap agrees with the reference set"
+    ~count:300 ~print:print_scenario gen_scenario (fun (_dtd, spec, doc) ->
+      let access = Access.compute spec doc in
+      let reference = Reference.accessible_set spec doc in
+      let rec agrees parent (n : Sxml.Tree.t) =
+        Access.mem access n.id = Reference.IntSet.mem n.id reference
+        && Option.map
+             (fun (p : Sxml.Tree.t) -> p.id)
+             (Access.parent access n.id)
+           = parent
+        && Access.extent access n.id = n.id + Sxml.Tree.size n - 1
+        && List.for_all (agrees (Some n.id)) (Sxml.Tree.children n)
+      in
+      agrees None doc)
+
 let () =
   Alcotest.run "properties"
     [
@@ -337,5 +355,6 @@ let () =
             prop_view_definition_roundtrip;
             prop_audit_hidden_matches_view;
             prop_indexed_rewrite_equivalent;
+            prop_access_matches_reference;
           ] );
     ]

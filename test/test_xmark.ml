@@ -60,7 +60,7 @@ let test_view_sound_complete () =
   let view = Workload.Xmark.view () in
   let doc = Workload.Xmark.document ~seed:5 ~scale:4 () in
   let vt = Materialize.materialize ~spec ~view doc in
-  let accessible = Access.accessible_set spec doc in
+  let accessible = Access.compute spec doc in
   let non_dummy =
     List.filter_map
       (fun (l, id) -> if View.is_dummy view l then None else Some id)
@@ -70,7 +70,7 @@ let test_view_sound_complete () =
   let expected =
     List.filter_map
       (fun (n : Sxml.Tree.t) ->
-        if Sxml.Tree.is_element n && Access.IntSet.mem n.id accessible then
+        if Sxml.Tree.is_element n && Access.mem accessible n.id then
           Some n.id
         else None)
       (Sxml.Tree.descendants_or_self doc)
