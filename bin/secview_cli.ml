@@ -409,22 +409,9 @@ let query_cmd =
                   (* GC attribution: pauses overlapping this query's
                      span window (both sides monotonic ns) *)
                   let gc =
-                    match spans with
-                    | [] -> None
-                    | _ ->
-                      let start_ns =
-                        List.fold_left
-                          (fun a (s : Sobs.Tracer.span) ->
-                            if s.start_ns < a then s.start_ns else a)
-                          Int64.max_int spans
-                      in
-                      let stop_ns =
-                        List.fold_left
-                          (fun a (s : Sobs.Tracer.span) ->
-                            if s.stop_ns > a then s.stop_ns else a)
-                          Int64.min_int spans
-                      in
-                      Sobs.Runtime.stamp ~start_ns ~stop_ns
+                    Option.bind (Sobs.Tracer.window spans)
+                      (fun (start_ns, stop_ns) ->
+                        Sobs.Runtime.stamp ~start_ns ~stop_ns)
                   in
                   Sobs.Audit_log.log_slow_query sl ~rid ~group:"user"
                     ~query:qtext

@@ -182,6 +182,15 @@ let with_request ?(name = "request") t f =
     ignore (close ());
     raise e
 
+let window = function
+  | [] -> None
+  | s0 :: rest ->
+    Some
+      (List.fold_left
+         (fun (lo, hi) sp ->
+           (Int64.min lo sp.start_ns, Int64.max hi sp.stop_ns))
+         (s0.start_ns, s0.stop_ns) rest)
+
 let stage_totals spans =
   let tbl = Hashtbl.create 8 in
   List.iter

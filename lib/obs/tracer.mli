@@ -79,6 +79,11 @@ val with_request : ?name:string -> t -> (unit -> 'a) -> 'a * span list
     it with an empty span stack: nested under another open span the
     "root" joins the enclosing trace instead of starting one. *)
 
+val window : span list -> (int64 * int64) option
+(** [(start_ns, stop_ns)]: the earliest start and latest stop of a
+    request's spans, [None] for no spans — the monotonic window GC
+    pauses are attributed over ({!Runtime.overlap}). *)
+
 val stage_totals : span list -> (string * float) list
 (** Total duration in milliseconds per span name, sorted by name. *)
 

@@ -623,21 +623,12 @@ let run_job t psess reply job =
        is no monotonic window to intersect. *)
     let gc_pause_ms, gc_pauses =
       match t.runtime with
-      | Some rt when spans <> [] ->
-        let start_ns =
-          List.fold_left
-            (fun a (s : Sobs.Tracer.span) ->
-              if s.start_ns < a then s.start_ns else a)
-            Int64.max_int spans
-        in
-        let stop_ns =
-          List.fold_left
-            (fun a (s : Sobs.Tracer.span) ->
-              if s.stop_ns > a then s.stop_ns else a)
-            Int64.min_int spans
-        in
-        Sobs.Runtime.overlap rt ~start_ns ~stop_ns
-      | _ -> (0., 0)
+      | None -> (0., 0)
+      | Some rt -> (
+        match Sobs.Tracer.window spans with
+        | Some (start_ns, stop_ns) ->
+          Sobs.Runtime.overlap rt ~start_ns ~stop_ns
+        | None -> (0., 0))
     in
     let status =
       match job.deadline_at with

@@ -288,9 +288,13 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
     match Sdtd.Validate.check dtd candidate with
     | [] -> Ok ()
     | v :: _ ->
-      Error
-        (invalid "result does not conform to the DTD: %s"
-           (Format.asprintf "%a" Sdtd.Validate.pp_violation v))
+      (* the violation names a preorder id and the parent's children,
+         hidden siblings included: operator-only, like the id-bearing
+         denials above *)
+      audit
+        (Format.asprintf "result does not conform to the DTD: %a"
+           Sdtd.Validate.pp_violation v);
+      Error (invalid "result does not conform to the DTD")
   in
   let acc' = accessible_set ?env spec candidate in
   let* () =

@@ -342,6 +342,51 @@ let test_denial_text_is_sanitized () =
       Alcotest.(check bool) "audit detail names the node id" true
         (has_digit d))
 
+let test_dtd_violation_text_is_sanitized () =
+  (* Carol's <treatment> is visible to the nurse but its only child,
+     <regular>, is hidden.  A second <regular> breaks the choice
+     treatment -> (trial | regular); the violation names the
+     treatment's preorder id and its hidden children, so only the
+     audit callback may see it. *)
+  let svc, entry =
+    setup (nurse_spec [ (("treatment", "regular"), [ Spec.Insert ]) ])
+  in
+  let detail = ref None in
+  match
+    Engine.apply_text svc ~group:"g" ~env
+      ~audit:(fun d -> detail := Some d)
+      ~entry
+      "insert into //patient[name = \"Carol\"]/treatment \
+       <regular><bill>1</bill><medication>x</medication></regular>"
+  with
+  | Ok _ -> Alcotest.fail "DTD-violating insert admitted"
+  | Error e ->
+    let text = Secview.Error.to_string e in
+    Alcotest.(check string) "error code" "invalid_update"
+      (Secview.Error.to_code e);
+    let has_digit s = String.exists (fun c -> c >= '0' && c <= '9') s in
+    let contains hay needle =
+      let n = String.length needle in
+      let rec at i =
+        i + n <= String.length hay && (String.sub hay i n = needle || at (i + 1))
+      in
+      at 0
+    in
+    Alcotest.(check bool) "no node id in the client text" false
+      (has_digit text);
+    List.iter
+      (fun hidden ->
+        Alcotest.(check bool)
+          (Printf.sprintf "no hidden label %s in the client text" hidden)
+          false (contains text hidden))
+      [ "regular"; "trial" ];
+    (match !detail with
+    | None -> Alcotest.fail "violation produced no audit detail"
+    | Some d ->
+      Alcotest.(check bool) "audit detail holds the violation" true
+        (contains d "<treatment>: children [regular; regular]"
+        && has_digit d))
+
 let test_receipt_digest_is_view_scoped () =
   (* the receipt digest is of the group's view of the result — a raw
      document digest would be an equality oracle on hidden regions *)
@@ -832,6 +877,8 @@ let () =
             test_qualifier_flip_denied;
           Alcotest.test_case "sanitized denial" `Quick
             test_denial_text_is_sanitized;
+          Alcotest.test_case "sanitized dtd violation" `Quick
+            test_dtd_violation_text_is_sanitized;
           Alcotest.test_case "view-scoped digest" `Quick
             test_receipt_digest_is_view_scoped;
           Alcotest.test_case "text content" `Quick

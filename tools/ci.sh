@@ -123,6 +123,21 @@ wait $RSRV
 echo "== perfbench self-test"
 bash perfbench/run.sh --self-test
 
+# The engine-level harness: the query forms, Table 1 and the
+# interpreter-vs-plan ablation at quick scale (--engines exits 1 if
+# the two engines' answers differ).  Serving is measured by perfbench,
+# not here: an unknown mode such as --serve must fail rather than
+# silently run the default suite.
+echo "== engine-level bench"
+dune exec --no-build bench/main.exe -- --quick --forms --table1 --engines \
+  --out "$TMP/engines.json" > "$TMP/engines.out"
+echo "-- forms, Table 1 and engines ran; answers byte-identical"
+if dune exec --no-build bench/main.exe -- --serve > /dev/null 2>&1; then
+  echo "bench/main.exe accepted the unknown --serve mode" >&2
+  exit 1
+fi
+echo "-- unknown bench mode rejected"
+
 # The regression gate itself is gated: its self-test, then a diff of a
 # report against itself (which must never regress).
 echo "== bench_diff"
