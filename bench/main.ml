@@ -36,6 +36,8 @@
 
    --analyze measures pairwise fleet-analysis cost over 2/8/32
    generated groups, written to BENCH_PR6.json (or --out FILE).
+   --out with more than one of --json/--engines/--analyze prints the
+   usage and exits 2: each mode writes its own report.
 
    Serving is measured out of process by the one load generator,
    [bash perfbench/run.sh] (see perfbench/README.md). *)
@@ -777,6 +779,15 @@ let () =
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
     usage;
   let has name = Hashtbl.mem modes name in
+  (* one --out names one file: two JSON-writing modes would write the
+     second report over the first *)
+  (match List.filter has [ "--json"; "--engines"; "--analyze" ] with
+  | _ :: _ :: _ as writers when !out <> None ->
+    Printf.eprintf "main.exe: --out names one file, but %s each write one\n"
+      (String.concat " and " writers);
+    Arg.usage spec usage;
+    exit 2
+  | _ -> ());
   let quick = has "--quick" in
   let scale =
     match !scale with Some n -> n | None -> if quick then 30 else 120

@@ -404,49 +404,48 @@ let query_cmd =
               | Error e -> raise (Secview.Error.E e)
               | Ok o ->
                 let latency_ms = 1000. *. (Sserver.Deadline.now () -. t0) in
+                let results = o.Secview.Pipeline.o_results in
+                let r =
+                  {
+                    Sobs.Request.empty with
+                    rid;
+                    group = "user";
+                    query = qtext;
+                    bind = bindings;
+                    index = indexed;
+                    engine = Secview.Pipeline.engine_label engine;
+                    results = List.length results;
+                    digest =
+                      (if cap = None then None
+                       else
+                         Some
+                           (Sobs.Capture.digest
+                              (List.map
+                                 (fun n -> Sxml.Print.to_string n)
+                                 results)));
+                    latency_ms;
+                    (* GC attribution: pauses overlapping this query's
+                       span window (both sides monotonic ns) *)
+                    gc_pause =
+                      Option.bind (Sobs.Tracer.window spans)
+                        (fun (start_ns, stop_ns) ->
+                          Sobs.Runtime.stamp ~start_ns ~stop_ns);
+                    spans;
+                    counts = o.Secview.Pipeline.o_counts;
+                    translated =
+                      (if slow_ms = None then None
+                       else
+                         Some
+                           (Sxpath.Print.to_string
+                              o.Secview.Pipeline.o_translated));
+                  }
+                in
                 (match (slow_ms, slow_log) with
-                | Some thr, Some sl when latency_ms > thr ->
-                  (* GC attribution: pauses overlapping this query's
-                     span window (both sides monotonic ns) *)
-                  let gc =
-                    Option.bind (Sobs.Tracer.window spans)
-                      (fun (start_ns, stop_ns) ->
-                        Sobs.Runtime.stamp ~start_ns ~stop_ns)
-                  in
-                  Sobs.Audit_log.log_slow_query sl ~rid ~group:"user"
-                    ~query:qtext
-                    ~translated:
-                      (Sxpath.Print.to_string o.Secview.Pipeline.o_translated)
-                    ~latency_ms ~threshold_ms:thr
-                    ~stages:(Sobs.Tracer.stage_totals spans)
-                    ~counts:o.Secview.Pipeline.o_counts
-                    ?gc_pause_ms:(Option.map fst gc)
-                    ?gc_pauses:(Option.map snd gc) ()
+                | Some threshold_ms, Some sl when latency_ms > threshold_ms ->
+                  Sobs.Audit_log.slow_query sl ~threshold_ms r
                 | _ -> ());
-                Option.iter
-                  (fun c ->
-                    let rendered =
-                      List.map
-                        (fun n -> Sxml.Print.to_string n)
-                        o.Secview.Pipeline.o_results
-                    in
-                    Sobs.Capture.write c
-                      {
-                        Sobs.Capture.c_rid = rid;
-                        c_verb = "query";
-                        c_group = "user";
-                        c_doc = None;
-                        c_query = qtext;
-                        c_bind = bindings;
-                        c_index = indexed;
-                        c_engine = Secview.Pipeline.engine_label engine;
-                        c_status = "ok";
-                        c_results = List.length rendered;
-                        c_digest = Sobs.Capture.digest rendered;
-                        c_latency_ms = latency_ms;
-                      })
-                  cap;
-                o.Secview.Pipeline.o_results)
+                Option.iter (fun c -> Sobs.Capture.write c r) cap;
+                results)
             (List.combine queries qs)
         in
         Option.iter Sobs.Capture.close cap;
@@ -1069,48 +1068,50 @@ let update_cmd =
         ~audit:(fun d -> detail := Some d)
         ~entry update_text
     in
-    let latency_ms = 1000. *. (Sserver.Deadline.now () -. t0) in
-    (match alog with
-    | None -> ()
-    | Some a ->
-      (match outcome with
+    let r =
+      {
+        Sobs.Request.empty with
+        rid = "u1";
+        verb = "update";
+        group;
+        doc_label = Some "doc";
+        query = update_text;
+        bind = bindings;
+        engine = "interp";
+        latency_ms = 1000. *. (Sserver.Deadline.now () -. t0);
+      }
+    in
+    let r =
+      match outcome with
       | Ok rc ->
-        Sobs.Audit_log.log_update a ~group ~doc:"doc" ~update:update_text
-          ~status:"ok" ~targets:rc.Supdate.Engine.r_targets
-          ~old_version:rc.Supdate.Engine.r_old_version
-          ~new_version:rc.Supdate.Engine.r_new_version ~latency_ms ()
+        {
+          r with
+          results = rc.Supdate.Engine.r_targets;
+          digest = Some rc.Supdate.Engine.r_view_digest;
+          targets = Some rc.Supdate.Engine.r_targets;
+          old_version = Some rc.Supdate.Engine.r_old_version;
+          new_version = Some rc.Supdate.Engine.r_new_version;
+        }
       | Error e ->
-        let error =
-          match !detail with
-          | Some d -> Secview.Error.to_string e ^ " [" ^ d ^ "]"
-          | None -> Secview.Error.to_string e
-        in
-        Sobs.Audit_log.log_update a ~group ~doc:"doc" ~update:update_text
-          ~status:"error" ~latency_ms ~error ());
-      Sobs.Audit_log.close a);
+        {
+          r with
+          status = "error";
+          error = Some (Sobs.Request.audit_error e ~detail:!detail);
+        }
+    in
+    Option.iter
+      (fun a ->
+        Sobs.Audit_log.request a r;
+        Sobs.Audit_log.close a)
+      alog;
     match outcome with
     | Error e -> raise (Secview.Error.E e)
     | Ok rc ->
-      let digest = rc.Supdate.Engine.r_view_digest in
       (match capture with
       | None -> ()
       | Some path ->
         let cap = Sobs.Capture.open_file path in
-        Sobs.Capture.write cap
-          {
-            Sobs.Capture.c_rid = "u1";
-            c_verb = "update";
-            c_group = group;
-            c_doc = None;
-            c_query = update_text;
-            c_bind = bindings;
-            c_index = false;
-            c_engine = "interp";
-            c_status = "ok";
-            c_results = rc.Supdate.Engine.r_targets;
-            c_digest = digest;
-            c_latency_ms = latency_ms;
-          };
+        Sobs.Capture.write cap r;
         Sobs.Capture.close cap);
       (match out with
       | Some path ->
@@ -1127,14 +1128,14 @@ let update_cmd =
                     Sobs.Json.Int rc.Supdate.Engine.r_old_version );
                   ( "new_version",
                     Sobs.Json.Int rc.Supdate.Engine.r_new_version );
-                  ("digest", Sobs.Json.String digest);
+                  ("digest", Sobs.Json.String rc.Supdate.Engine.r_view_digest);
                 ]))
       else begin
         Printf.printf "op:       %s\n" rc.Supdate.Engine.r_op;
         Printf.printf "targets:  %d\n" rc.Supdate.Engine.r_targets;
         Printf.printf "version:  %d -> %d\n" rc.Supdate.Engine.r_old_version
           rc.Supdate.Engine.r_new_version;
-        Printf.printf "digest:   %s\n" digest
+        Printf.printf "digest:   %s\n" rc.Supdate.Engine.r_view_digest
       end
   in
   let group_pos_arg =
@@ -2010,8 +2011,8 @@ let replay_cmd =
            traceable in the server's audit log and flight recorder. *)
         let group_names =
           List.fold_left
-            (fun acc (r : Sobs.Capture.record) ->
-              if List.mem r.c_group acc then acc else acc @ [ r.c_group ])
+            (fun acc (r : Sobs.Request.t) ->
+              if List.mem r.group acc then acc else acc @ [ r.group ])
             [] records
         in
         let addr = remote_addr ~cmd:"replay" socket tcp host in
@@ -2045,20 +2046,20 @@ let replay_cmd =
                 | _ -> failwith (Printf.sprintf "replay: hello %S refused" g))
               sessions;
             List.map
-              (fun (r : Sobs.Capture.record) ->
-                let fd, ic = List.assoc r.c_group sessions in
+              (fun (r : Sobs.Request.t) ->
+                let fd, ic = List.assoc r.group sessions in
                 let t0 = Sserver.Deadline.now () in
                 send fd
-                  (if r.c_verb = "update" then
-                     Sserver.Protocol.update_json ~rid:r.c_rid ?doc:r.c_doc
-                       ~bind:r.c_bind r.c_query
+                  (if r.verb = "update" then
+                     Sserver.Protocol.update_json ~rid:r.rid ?doc:r.doc
+                       ~bind:r.bind r.query
                    else
-                     Sserver.Protocol.query_json ~rid:r.c_rid ?doc:r.c_doc
-                       ~bind:r.c_bind ~use_index:r.c_index r.c_query);
+                     Sserver.Protocol.query_json ~rid:r.rid ?doc:r.doc
+                       ~bind:r.bind ~use_index:r.index r.query);
                 let reply = recv ic in
                 let ms = 1000. *. (Sserver.Deadline.now () -. t0) in
                 match Sobs.Json.member "ok" reply with
-                | Some (Sobs.Json.Bool true) when r.c_verb = "update" ->
+                | Some (Sobs.Json.Bool true) when r.verb = "update" ->
                   (* the reply digest is of the group's view of the
                      resulting document: a match means the replayed
                      write rebuilt the byte-identical view *)
@@ -2127,16 +2128,16 @@ let replay_cmd =
           match docs with [ (n, _) ] -> Some n | _ -> None
         in
         List.map
-          (fun (r : Sobs.Capture.record) ->
+          (fun (r : Sobs.Request.t) ->
             let doc_name =
-              match (r.c_doc, default_doc) with
+              match (r.doc, default_doc) with
               | Some n, _ | None, Some n -> n
               | None, None ->
                 failwith
                   (Printf.sprintf
                      "replay: record %s names no document and several --doc \
                       were given"
-                     r.c_rid)
+                     r.rid)
             in
             let entry =
               match Secview.Catalog.find catalog doc_name with
@@ -2144,22 +2145,22 @@ let replay_cmd =
               | None ->
                 failwith
                   (Printf.sprintf "replay: record %s: unknown document %S"
-                     r.c_rid doc_name)
+                     r.rid doc_name)
             in
             let engine =
-              match Secview.Pipeline.engine_of_string r.c_engine with
+              match Secview.Pipeline.engine_of_string r.engine with
               | Some e -> e
               | None ->
                 failwith
                   (Printf.sprintf "replay: record %s: unknown engine %S"
-                     r.c_rid r.c_engine)
+                     r.rid r.engine)
             in
-            let env = env_of_bindings r.c_bind in
-            if r.c_verb = "update" then begin
+            let env = env_of_bindings r.bind in
+            if r.verb = "update" then begin
               let t0 = Sserver.Deadline.now () in
               match
-                Supdate.Engine.apply_text svc ~group:r.c_group ~env ~entry
-                  r.c_query
+                Supdate.Engine.apply_text svc ~group:r.group ~env ~entry
+                  r.query
               with
               | Ok rc ->
                 let ms = 1000. *. (Sserver.Deadline.now () -. t0) in
@@ -2169,15 +2170,15 @@ let replay_cmd =
                 (r, "error:" ^ Secview.Error.to_code e, 0, ms)
             end
             else begin
-              let q = Sxpath.Parse.of_string r.c_query in
+              let q = Sxpath.Parse.of_string r.query in
               let doc = Secview.Catalog.doc entry in
               let index =
-                if r.c_index then Some (Secview.Catalog.index entry)
+                if r.index then Some (Secview.Catalog.index entry)
                 else None
               in
               let t0 = Sserver.Deadline.now () in
               match
-                Secview.Pipeline.Session.answer pipe ~group:r.c_group ~engine
+                Secview.Pipeline.Session.answer pipe ~group:r.group ~engine
                   ~env ?index q doc
               with
               | Ok nodes ->
@@ -2195,30 +2196,31 @@ let replay_cmd =
     in
     let mismatches =
       List.filter
-        (fun ((r : Sobs.Capture.record), d, _, _) -> d <> r.c_digest)
+        (fun ((r : Sobs.Request.t), d, _, _) -> Some d <> r.digest)
         replayed
     in
     List.iter
-      (fun ((r : Sobs.Capture.record), d, n, _) ->
+      (fun ((r : Sobs.Request.t), d, n, _) ->
         Printf.eprintf
           "secview: replay mismatch %s group=%s query=%s: captured %s (%d \
            results), replayed %s (%d results)\n"
-          r.c_rid r.c_group r.c_query r.c_digest r.c_results d n)
+          r.rid r.group r.query (Option.value r.digest ~default:"") r.results d
+          n)
       mismatches;
     (* per-cell latency comparison: a cell is one distinct
        (group, doc, query) the workload exercised *)
     let cells =
       List.fold_left
-        (fun acc ((r : Sobs.Capture.record), _, _, ms) ->
-          let key = (r.c_group, r.c_doc, r.c_query) in
+        (fun acc ((r : Sobs.Request.t), _, _, ms) ->
+          let key = (r.group, r.doc, r.query) in
           match List.assoc_opt key acc with
           | Some _ ->
             List.map
               (fun (k, (cap, rep)) ->
-                if k = key then (k, (r.c_latency_ms :: cap, ms :: rep))
+                if k = key then (k, (r.latency_ms :: cap, ms :: rep))
                 else (k, (cap, rep)))
               acc
-          | None -> acc @ [ (key, ([ r.c_latency_ms ], [ ms ])) ])
+          | None -> acc @ [ (key, ([ r.latency_ms ], [ ms ])) ])
         [] replayed
     in
     let report =

@@ -41,8 +41,9 @@ let emit t json =
 let base t kind =
   [ ("type", Json.String kind); ("ts_ns", Json.Int (Int64.to_int (t.clock ()))) ]
 
+let opt f = function Some v -> f v | None -> Json.Null
+
 let log_event t (ev : Secview.Trace.audit_event) =
-  let opt f = function Some v -> f v | None -> Json.Null in
   let stages =
     match t.tracer with
     | None -> []
@@ -82,91 +83,70 @@ let log_diagnostic t ~code ~severity ~subject message =
            ("message", Json.String message);
          ]))
 
-let rid_field = function
-  | Some r -> [ ("rid", Json.String r) ]
-  | None -> []
+(* The request's identity: rid, then session and peer when the
+   request has them (a CLI request has neither). *)
+let ctx (r : Request.t) =
+  List.concat
+    [
+      (if r.rid = "" then [] else [ ("rid", Json.String r.rid) ]);
+      (match r.session with Some s -> [ ("session", Json.Int s) ] | None -> []);
+      (match r.peer with Some p -> [ ("peer", Json.String p) ] | None -> []);
+    ]
 
-let log_request t ?rid ~session ~peer ~group ~doc ~query ~status ~results
-    ~latency_ms ?error () =
-  emit t
-    (Json.Obj
-       (base t "request" @ rid_field rid
-       @ [
-           ("session", Json.Int session);
-           ("peer", Json.String peer);
-           ("group", Json.String group);
-           ("doc", Json.String doc);
-           ("query", Json.String query);
-           ("status", Json.String status);
-           ("results", Json.Int results);
-           ("latency_ms", Json.Float latency_ms);
-           ( "error",
-             match error with Some e -> Json.String e | None -> Json.Null );
-         ]))
-
-(* One record per update attempt.  An admitted write is kind "update"
-   with the version transition; a rejected one is "update_denied" with
-   the typed error code and message — distinguishable at a glance from
-   a denied query (kind "request", status "denied_empty"). *)
-let log_update t ?rid ?session ?peer ~group ~doc ~update ~status ?targets
-    ?old_version ?new_version ~latency_ms ?error () =
-  let opt f = function Some v -> f v | None -> Json.Null in
-  let ctx =
-    List.concat
-      [
-        rid_field rid;
-        (match session with
-        | Some s -> [ ("session", Json.Int s) ]
-        | None -> []);
-        (match peer with Some p -> [ ("peer", Json.String p) ] | None -> []);
-      ]
-  in
-  let kind = if error = None then "update" else "update_denied" in
-  emit t
-    (Json.Obj
-       (base t kind @ ctx
-       @ [
-           ("group", Json.String group);
-           ("doc", Json.String doc);
-           ("update", Json.String update);
-           ("status", Json.String status);
-           ("targets", opt (fun n -> Json.Int n) targets);
-           ("old_version", opt (fun v -> Json.Int v) old_version);
-           ("new_version", opt (fun v -> Json.Int v) new_version);
-           ("latency_ms", Json.Float latency_ms);
-           ("error", opt (fun e -> Json.String e) error);
-         ]))
-
-let log_slow_query t ?rid ~group ~query ?translated ~latency_ms ~threshold_ms
-    ~stages ~counts ?gc_pause_ms ?gc_pauses ?session ?peer ?doc () =
-  let opt f = function Some v -> f v | None -> Json.Null in
-  let ctx =
-    List.concat
-      [
-        rid_field rid;
-        (match session with
-        | Some s -> [ ("session", Json.Int s) ]
-        | None -> []);
-        (match peer with Some p -> [ ("peer", Json.String p) ] | None -> []);
-        (match doc with Some d -> [ ("doc", Json.String d) ] | None -> []);
-      ]
+(* One record per request.  A write is kind "update" when admitted,
+   with the version transition, and "update_denied" otherwise, with
+   the typed error — distinguishable at a glance from a denied query
+   (kind "request", status "denied_empty"). *)
+let request t (r : Request.t) =
+  let kind, text, outcome =
+    if r.verb <> "update" then
+      ("request", "query", [ ("results", Json.Int r.results) ])
+    else
+      ( (if r.error = None then "update" else "update_denied"),
+        "update",
+        [
+          ("targets", opt (fun n -> Json.Int n) r.targets);
+          ("old_version", opt (fun v -> Json.Int v) r.old_version);
+          ("new_version", opt (fun v -> Json.Int v) r.new_version);
+        ] )
   in
   emit t
     (Json.Obj
-       (base t "slow_query" @ ctx
+       (base t kind @ ctx r
        @ [
-           ("group", Json.String group);
-           ("query", Json.String query);
-           ("translated", opt (fun s -> Json.String s) translated);
-           ("latency_ms", Json.Float latency_ms);
+           ("group", Json.String r.group);
+           ("doc", opt (fun d -> Json.String d) r.doc_label);
+           (text, Json.String r.query);
+           ("status", Json.String r.status);
+         ]
+       @ outcome
+       @ [
+           ("latency_ms", Json.Float r.latency_ms);
+           ("error", opt (fun e -> Json.String e) r.error);
+         ]))
+
+let slow_query t ~threshold_ms (r : Request.t) =
+  let doc =
+    match r.doc_label with Some d -> [ ("doc", Json.String d) ] | None -> []
+  in
+  emit t
+    (Json.Obj
+       (base t "slow_query" @ ctx r @ doc
+       @ [
+           ("group", Json.String r.group);
+           ("query", Json.String r.query);
+           ("translated", opt (fun s -> Json.String s) r.translated);
+           ("latency_ms", Json.Float r.latency_ms);
            ("threshold_ms", Json.Float threshold_ms);
            ( "stages_ms",
              Json.Obj
-               (List.map (fun (name, ms) -> (name, Json.Float ms)) stages) );
+               (List.map
+                  (fun (name, ms) -> (name, Json.Float ms))
+                  (Tracer.stage_totals r.spans)) );
            ( "op_counts",
-             Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) counts) );
-           ("gc_pause_ms", opt (fun v -> Json.Float v) gc_pause_ms);
-           ("gc_pauses", opt (fun v -> Json.Int v) gc_pauses);
+             Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.counts) );
+           ("gc_pause_ms", opt (fun (ms, _) -> Json.Float ms) r.gc_pause);
+           ("gc_pauses", opt (fun (_, n) -> Json.Int n) r.gc_pause);
          ]))
 
 let log_note t ~kind message =

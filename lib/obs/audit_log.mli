@@ -28,7 +28,8 @@
      "error":S|null}
     {"type":"slow_query","ts_ns":…,["rid":S,]["session":N,"peer":…,
      "doc":…,]"group":…,"query":…,"translated":S|null,"latency_ms":F,
-     "threshold_ms":F,"stages_ms":{…},"op_counts":{"scanned":N,…}}
+     "threshold_ms":F,"stages_ms":{…},"op_counts":{"scanned":N,…},
+     "gc_pause_ms":F|null,"gc_pauses":N|null}
     {"type":"update"|"update_denied","ts_ns":…,["rid":S,]["session":N,
      "peer":…,]"group":…,"doc":…,"update":…,"status":S,"targets":N|null,
      "old_version":N|null,"new_version":N|null,"latency_ms":F,
@@ -40,12 +41,13 @@
     any capture record, so one request can be followed across every
     surface.
 
-    ["request"] records are the server's ([Sserver.Server]): one per
-    admitted query, stamped with the session's group and peer — the
-    who-asked-what trail a multi-user deployment owes its
-    administrators.  The writer serializes concurrent [log_*] calls
-    itself (the server holds one observability lock); this module
-    performs no locking.
+    ["request"], ["update"]/["update_denied"] and ["slow_query"]
+    records are projections of one {!Request.t} ({!request},
+    {!slow_query}): the server writes one per request it answers,
+    stamped with the session's group and peer — the who-asked-what
+    trail a multi-user deployment owes its administrators.  Callers
+    serialize concurrent writes themselves (the server holds one
+    observability lock); this module performs no locking.
 
     Timestamps are readings of the log's clock (monotonic by default:
     an arbitrary epoch, deterministic under {!Clock.fake}). *)
@@ -81,68 +83,22 @@ val log_diagnostic :
   t -> code:string -> severity:string -> subject:string -> string -> unit
 val log_note : t -> kind:string -> string -> unit
 
-val log_request :
-  t ->
-  ?rid:string ->
-  session:int ->
-  peer:string ->
-  group:string ->
-  doc:string ->
-  query:string ->
-  status:string ->
-  results:int ->
-  latency_ms:float ->
-  ?error:string ->
-  unit ->
-  unit
-(** One server-side ["request"] record ([status] ∈ ok/error/timeout/
-    late; [latency_ms] includes queue wait). *)
+val request : t -> Request.t -> unit
+(** The audit projection of one request.  A write ([verb = "update"])
+    is kind ["update"] when admitted — with its [old_version →
+    new_version] transition and target count — and ["update_denied"]
+    otherwise, whatever refused it (the check, the deadline, a full
+    queue), so a denied write is distinguishable from a denied query.
+    Every other verb is kind ["request"] ([status] ∈ ok/error/timeout/
+    late/overloaded/denied_empty; [latency_ms] includes queue wait).
+    [error] carries the audit-only text. *)
 
-val log_update :
-  t ->
-  ?rid:string ->
-  ?session:int ->
-  ?peer:string ->
-  group:string ->
-  doc:string ->
-  update:string ->
-  status:string ->
-  ?targets:int ->
-  ?old_version:int ->
-  ?new_version:int ->
-  latency_ms:float ->
-  ?error:string ->
-  unit ->
-  unit
-(** One write-path record: kind ["update"] when [error] is absent
-    (an admitted write, with its [old_version → new_version]
-    transition and target count), ["update_denied"] otherwise (the
-    [error] carries the typed reason) — so a denied write is
-    distinguishable from a denied query. *)
-
-val log_slow_query :
-  t ->
-  ?rid:string ->
-  group:string ->
-  query:string ->
-  ?translated:string ->
-  latency_ms:float ->
-  threshold_ms:float ->
-  stages:(string * float) list ->
-  counts:(string * int) list ->
-  ?gc_pause_ms:float ->
-  ?gc_pauses:int ->
-  ?session:int ->
-  ?peer:string ->
-  ?doc:string ->
-  unit ->
-  unit
+val slow_query : t -> threshold_ms:float -> Request.t -> unit
 (** One ["slow_query"] record — emitted by [query --slow-ms] and
-    [serve --slow-ms] for any request over threshold.  [stages] are
-    per-stage millisecond totals (see {!Tracer.stage_totals}) of the
-    spans belonging to this request only; [counts] are the plan
-    engine's operator totals (empty for the interpreter).
-    [gc_pause_ms]/[gc_pauses] carry {!Runtime.overlap} attribution
-    when a runtime consumer is installed ([null] otherwise — absent
-    is distinguishable from a measured zero).  The optional
-    [session]/[peer]/[doc] triple is the server's request context. *)
+    [serve --slow-ms] for any request over threshold: the translated
+    query, per-stage millisecond totals of the request's own spans
+    ({!Tracer.stage_totals}), the plan engine's operator totals (empty
+    for the interpreter), and the GC attribution ([null] without a
+    runtime consumer — absent is distinguishable from a measured
+    zero).  The server's records also carry session, peer and the
+    resolved document. *)

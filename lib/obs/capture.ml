@@ -1,40 +1,23 @@
 let schema_version = 2
 
-type record = {
-  c_rid : string;
-  c_verb : string;
-  c_group : string;
-  c_doc : string option;
-  c_query : string;
-  c_bind : (string * string) list;
-  c_index : bool;
-  c_engine : string;
-  c_status : string;
-  c_results : int;
-  c_digest : string;
-  c_latency_ms : float;
-}
-
 let digest results = Digest.to_hex (Digest.string (String.concat "\n" results))
 
-let to_json r =
+let to_json (r : Request.t) =
   Json.Obj
     [
       ("v", Json.Int schema_version);
-      ("rid", Json.String r.c_rid);
-      ("verb", Json.String r.c_verb);
-      ("group", Json.String r.c_group);
-      ( "doc",
-        match r.c_doc with Some d -> Json.String d | None -> Json.Null );
-      ("query", Json.String r.c_query);
-      ( "bind",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) r.c_bind) );
-      ("index", Json.Bool r.c_index);
-      ("engine", Json.String r.c_engine);
-      ("status", Json.String r.c_status);
-      ("results", Json.Int r.c_results);
-      ("digest", Json.String r.c_digest);
-      ("latency_ms", Json.Float r.c_latency_ms);
+      ("rid", Json.String r.rid);
+      ("verb", Json.String r.verb);
+      ("group", Json.String r.group);
+      ("doc", match r.doc with Some d -> Json.String d | None -> Json.Null);
+      ("query", Json.String r.query);
+      ("bind", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) r.bind));
+      ("index", Json.Bool r.index);
+      ("engine", Json.String r.engine);
+      ("status", Json.String (if r.status = "late" then "ok" else r.status));
+      ("results", Json.Int r.results);
+      ("digest", Json.String (Option.value r.digest ~default:""));
+      ("latency_ms", Json.Float r.latency_ms);
     ]
 
 let of_json j =
@@ -50,8 +33,8 @@ let of_json j =
     Error (Printf.sprintf "capture record: unsupported version %d" v)
   | Some _ -> (
     match (req "rid", req "group", req "query", req "digest") with
-    | Ok c_rid, Ok c_group, Ok c_query, Ok c_digest ->
-      let c_bind =
+    | Ok rid, Ok group, Ok query, Ok digest ->
+      let bind =
         match Json.member "bind" j with
         | Some (Json.Obj fields) ->
           List.filter_map
@@ -64,22 +47,23 @@ let of_json j =
       in
       Ok
         {
-          c_rid;
-          c_verb = Option.value ~default:"query" (str "verb");
-          c_group;
-          c_doc = str "doc";
-          c_query;
-          c_bind;
-          c_index =
+          Request.empty with
+          rid;
+          verb = Option.value ~default:"query" (str "verb");
+          group;
+          doc = str "doc";
+          query;
+          bind;
+          index =
             Option.value ~default:true
               (Option.bind (Json.member "index" j) Json.to_bool_opt);
-          c_engine = Option.value ~default:"plan" (str "engine");
-          c_status = Option.value ~default:"ok" (str "status");
-          c_results =
+          engine = Option.value ~default:"plan" (str "engine");
+          status = Option.value ~default:"ok" (str "status");
+          results =
             Option.value ~default:0
               (Option.bind (Json.member "results" j) Json.to_int_opt);
-          c_digest;
-          c_latency_ms =
+          digest = Some digest;
+          latency_ms =
             Option.value ~default:0.
               (Option.bind (Json.member "latency_ms" j) Json.to_float_opt);
         }

@@ -20,32 +20,26 @@
     server puts in its ["results"] reply field, so a replay digest
     match means the byte-identical answer.  For updates, [query] holds
     the update's concrete syntax, [results] the target count, and
-    [digest] the MD5 hex of the {e resulting document}'s serialization
-    — a replay digest match means the replayed write produced the
-    byte-identical document version. *)
+    [digest] the MD5 hex of the writing {e group's view} of the
+    resulting document ([Supdate.Engine]'s [r_view_digest]; the raw
+    document's digest would be an equality oracle on hidden regions)
+    — a replay digest match means the replayed write rebuilt the
+    byte-identical view.
+
+    A record is a {!Request.t} projection: [doc] is the document as
+    the client named it ([null] = the requester's default), and
+    [status] is ["ok"] for an answered request (a [late] answer is
+    still the right one) or ["denied_empty"] for an admission-path
+    denial.  Reading fills the fields the schema does not carry from
+    {!Request.empty}. *)
 
 val schema_version : int
-
-type record = {
-  c_rid : string;
-  c_verb : string;  (** ["query"] or ["update"] *)
-  c_group : string;
-  c_doc : string option;  (** catalog doc name; [None] = requester default *)
-  c_query : string;  (** query text, or the update's concrete syntax *)
-  c_bind : (string * string) list;
-  c_index : bool;
-  c_engine : string;
-  c_status : string;  (** ["ok"] or ["denied_empty"] *)
-  c_results : int;
-  c_digest : string;
-  c_latency_ms : float;
-}
 
 val digest : string list -> string
 (** MD5 hex of the rendered result lines, joined with ["\n"]. *)
 
-val to_json : record -> Json.t
-val of_json : Json.t -> (record, string) result
+val to_json : Request.t -> Json.t
+val of_json : Json.t -> (Request.t, string) result
 
 (** {2 Writing} *)
 
@@ -58,10 +52,10 @@ val open_file : string -> t
     process runs pointed at the same path build one workload — the
     way a mixed read/write capture is assembled from the CLI. *)
 
-val write : t -> record -> unit
+val write : t -> Request.t -> unit
 val close : t -> unit
 
 (** {2 Reading} *)
 
-val read_file : string -> (record list, string) result
+val read_file : string -> (Request.t list, string) result
 (** Parse a capture file; the error carries [file:line]. *)

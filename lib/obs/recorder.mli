@@ -11,39 +11,8 @@
     The ring is fixed-size and thread-safe (private mutex, never
     shared with the tracer/server observability lock, so recording
     cannot deadlock against span draining).  When full, the oldest
-    entry is overwritten.
-
-    A {e disabled} recorder costs nothing: {!enabled} is one ref
-    read, and callers must build the {!entry} only behind it —
-    [if Recorder.enabled () then Recorder.note (… allocate …)] — a
-    discipline pinned by a [Gc.minor_words] test exactly like
-    {!Secview.Trace}'s null probe. *)
-
-type entry = {
-  rid : string;  (** request-correlation id, as stamped in the reply *)
-  verb : string;  (** ["query"], ["explain"] or ["update"] — a denied
-                      write is distinguishable from a denied read *)
-  session : int option;  (** server session, [None] for CLI requests *)
-  peer : string option;
-  group : string;
-  doc : string option;  (** catalog name of the target document *)
-  doc_version : int option;  (** {!Secview.Catalog.version} stamp *)
-  query : string;  (** query text, or the update's concrete syntax *)
-  engine : string;  (** ["plan"] or ["interp"] *)
-  admission : string option;  (** {!Secview.Pipeline.admission_label} *)
-  status : string;  (** ok/error/timeout/late/overloaded/denied_empty *)
-  error : string option;
-  results : int;
-  digest : string option;  (** MD5 hex of the rendered answer *)
-  latency_ms : float;
-  gc_pause_ms : float;
-      (** unioned GC pause time overlapping this request's span window
-          ({!Runtime.overlap}); [0.] when no consumer is running *)
-  gc_pauses : int;  (** pause episodes intersecting the window *)
-  ts_ns : int64;
-  spans : Tracer.span list;  (** this request's span tree *)
-  counts : (string * int) list;  (** plan operator totals *)
-}
+    entry is overwritten.  Entries are {!Request.t} records: the
+    recorder keeps the same record every other sink projects. *)
 
 type t
 
@@ -52,8 +21,8 @@ val create : capacity:int -> t
     [capacity <= 0]. *)
 
 val capacity : t -> int
-val record : t -> entry -> unit
-val entries : t -> entry list
+val record : t -> Request.t -> unit
+val entries : t -> Request.t list
 (** Retained entries, oldest first. *)
 
 val length : t -> int
@@ -64,24 +33,14 @@ val total : t -> int
 
 val clear : t -> unit
 
-(** {2 Process-global hook}
-
-    The CLI's [query --flight] path records through a global slot so
-    the hot path needs no plumbing; the server holds its recorder
-    directly instead. *)
-
-val set : t -> unit
-val unset : unit -> unit
-val current : unit -> t option
-val enabled : unit -> bool
-(** One ref read, no allocation — the hot-path guard. *)
-
-val note : entry -> unit
-(** Record into the hooked recorder, if any. *)
-
 (** {2 Rendering} *)
 
-val entry_json : entry -> Json.t
+val entry_json : Request.t -> Json.t
+(** The flight view of a request: identity, document and version,
+    query, engine, admission verdict, outcome, digest, latency, GC
+    attribution ([0]/[0] without a runtime consumer), span tree and
+    operator counts. *)
+
 val to_json : t -> Json.t
 (** [{"flight":N,"capacity":C,"total":T,"entries":[…]}] with entries
     oldest first; each entry's spans carry [seq]/[parent] links. *)

@@ -155,23 +155,12 @@ let register_session t psess =
 let count ?by t name = Sobs.Metrics.Sharded.incr ?by t.shards name
 let observe t name v = Sobs.Metrics.Sharded.observe t.shards name v
 
-let audit_request t ~rid ~session ~peer ~group ~doc ~query ~status ~results
-    ~latency_ms ?error () =
+(* Audit writes serialize on [obs_lock]; sinks need no thread-safety
+   of their own. *)
+let audit t f =
   match t.audit with
   | None -> ()
-  | Some log ->
-    Mutex.protect t.obs_lock (fun () ->
-        Sobs.Audit_log.log_request log ~rid ~session ~peer ~group ~doc ~query
-          ~status ~results ~latency_ms ?error ())
-
-let audit_update t ~rid ~session ~peer ~group ~doc ~update ~status ?targets
-    ?old_version ?new_version ~latency_ms ?error () =
-  match t.audit with
-  | None -> ()
-  | Some log ->
-    Mutex.protect t.obs_lock (fun () ->
-        Sobs.Audit_log.log_update log ~rid ~session ~peer ~group ~doc ~update
-          ~status ?targets ?old_version ?new_version ~latency_ms ?error ())
+  | Some log -> Mutex.protect t.obs_lock (fun () -> f log)
 
 (* The merged per-group pipeline counters: every registered session's
    record summed with [Pipeline.stats_merge] — the one merge path
@@ -267,16 +256,6 @@ let flight_reply t ~rid =
     | J.Obj fields -> Protocol.ok ~rid fields
     | _ -> assert false)
 
-let audit_slow t ~rid ~session ~peer ~group ~doc ~query ?translated
-    ~latency_ms ~threshold_ms ~stages ~counts ?gc_pause_ms ?gc_pauses () =
-  match t.audit with
-  | None -> ()
-  | Some log ->
-    Mutex.protect t.obs_lock (fun () ->
-        Sobs.Audit_log.log_slow_query log ~rid ~group ~query ?translated
-          ~latency_ms ~threshold_ms ~stages ~counts ?gc_pause_ms ?gc_pauses
-          ~session ~peer ~doc ())
-
 let draining t = Atomic.get t.stopping
 
 let wake t = ignore (try Unix.write t.wake_w (Bytes.of_string "!") 0 1 with _ -> 0)
@@ -334,9 +313,9 @@ let parsed_request t (q : Protocol.query) k =
            the worker must survive *)
         Error (Secview.Error.Internal (Printexc.to_string exn))))
 
-(* Ok: (result nodes, translated query, plan operator counts, pinned
-   document version).  Counts are only collected when the
-   slow-query log or the flight recorder could use them. *)
+(* Ok: the pipeline's outcome and the pinned document version.  Counts
+   are only collected when the slow-query log or the flight recorder
+   could use them. *)
 let answer_query t psess ~group (q : Protocol.query) =
   parsed_request t q (fun entry path ->
       let env name = List.assoc_opt name q.bind in
@@ -355,12 +334,7 @@ let answer_query t psess ~group (q : Protocol.query) =
           ~counts:(t.config.slow_ms <> None || Option.is_some t.recorder)
           ~env ?index path doc
       with
-      | Ok o ->
-        Ok
-          ( o.Pipeline.o_results,
-            Sxpath.Print.to_string o.Pipeline.o_translated,
-            o.Pipeline.o_counts,
-            Catalog.snapshot_version snap )
+      | Ok o -> Ok (o, Catalog.snapshot_version snap)
       | Error _ as e -> e)
 
 let explain_query t psess ~rid ~group (q : Protocol.query) =
@@ -430,53 +404,42 @@ let run_update psess t ~group (q : Protocol.query) =
     in
     (outcome, !detail)
 
-let doc_label t (q : Protocol.query) =
-  match q.doc with
+let doc_label t = function
   | Some d -> d
   | None -> (
     (* the single-document default: audit the name it resolved to *)
     match Catalog.names t.catalog with [ n ] -> n | _ -> "-")
 
-let doc_version t (q : Protocol.query) =
-  match resolve_document t q.doc with
+let doc_version t doc =
+  match resolve_document t doc with
   | Ok entry -> Some (Catalog.version entry)
   | Error _ -> None
 
-(* One flight-recorder entry per completed Answer/Explain job (and one
-   per fast-path denial, built at that site).  The recorder has its
-   own mutex — never the shared [obs_lock] — so recording can never
-   deadlock against span draining or audit writes. *)
-let record_flight t job ~status ~results ?error ?digest ?version ~latency_ms
-    ?(gc_pause_ms = 0.) ?(gc_pauses = 0) ~spans ~counts () =
-  match (t.recorder, job.work) with
-  | Some r, (Answer q | Explain_query q | Do_update q) ->
-    Sobs.Recorder.record r
-      {
-        Sobs.Recorder.rid = job.jrid;
-        verb = work_verb job.work;
-        session = Some job.jsession.sid;
-        peer = Some job.jsession.peer;
-        group = job.jgroup;
-        doc = Some (doc_label t q);
-        (* prefer the version the request actually ran against — the
-           entry's current version may already be a later write's *)
-        doc_version =
-          (match version with Some _ -> version | None -> doc_version t q);
-        query = q.text;
-        engine = Pipeline.engine_label t.config.engine;
-        admission = None;
-        status;
-        error;
-        results;
-        digest;
-        latency_ms;
-        gc_pause_ms;
-        gc_pauses;
-        ts_ns = Sobs.Clock.monotonic ();
-        spans;
-        counts;
-      }
-  | _ -> ()
+(* ---- one record per request, projected by every sink -------------- *)
+
+(* Who asked what: the fields every outcome of [work] shares.  Each
+   outcome site adds how it ended. *)
+let request t sess ~rid ~group work =
+  let r =
+    {
+      Sobs.Request.empty with
+      rid;
+      verb = work_verb work;
+      session = Some sess.sid;
+      peer = Some sess.peer;
+      group;
+      engine = Pipeline.engine_label t.config.engine;
+    }
+  in
+  match work with
+  | Nap _ -> r
+  | Answer q | Explain_query q ->
+    { r with doc = q.doc; query = q.text; bind = q.bind; index = q.use_index }
+  | Do_update q -> { r with doc = q.doc; query = q.text; bind = q.bind }
+
+(* Answer digests are over each node's XML: those strings are built
+   only when a recorder or a capture asks for them. *)
+let wants_digest t = Option.is_some t.recorder || Option.is_some t.capture
 
 (* Auto-snapshot: dump the whole ring to [--flight-snapshot FILE] the
    moment a request ends badly (error/timeout/late) or slow — the
@@ -488,28 +451,86 @@ let maybe_snapshot t ~status ~slow =
     with Sys_error _ -> count t "server.flight.snapshot_failed")
   | _ -> ()
 
+(* Where a request's outcome was decided: each exit feeds its own set
+   of sinks. *)
+type exit =
+  | Executed  (** a worker ran it *)
+  | Expired  (** its deadline passed while it was queued *)
+  | Denied  (** the admission fast path answered it empty *)
+  | Shed  (** a full queue refused it *)
+
+(* The one exit of every request outcome: counters and latency, the
+   slow-query audit, the audit record, the flight entry, the capture
+   line and the flight snapshot, in that order, all projections of the
+   same record.  Only executed requests count toward [server.done.*]
+   and the latency series or can be slow; a shed request is audited
+   only; a fast-path denial is never snapshotted.  Workers call it
+   BEFORE filling the reply cell: the moment a client sees its answer,
+   the request must already be in the flight ring, the capture stream
+   and the counters — a domain-parallel worker otherwise races clients
+   that scrape or dump flight right after a reply.  The recorder has
+   its own mutex — never the shared [obs_lock] — so recording can
+   never deadlock against span draining or audit writes. *)
+let finish t exit (r : Sobs.Request.t) =
+  let r =
+    (* the resolved document and the outcome's stamp are shown only by
+       the audit log and the flight recorder: look them up for them *)
+    if r.verb = "sleep" || (Option.is_none t.audit && Option.is_none t.recorder)
+    then r
+    else
+      {
+        r with
+        doc_label = Some (doc_label t r.doc);
+        (* prefer the version the request actually ran against — the
+           entry's current version may already be a later write's *)
+        doc_version =
+          (match r.doc_version with
+          | Some _ -> r.doc_version
+          | None -> doc_version t r.doc);
+        ts_ns = Sobs.Clock.monotonic ();
+      }
+  in
+  if exit = Executed then begin
+    count t ("server.done." ^ r.status);
+    observe t ("server.latency_ms." ^ r.group) r.latency_ms
+  end;
+  let slow =
+    match t.config.slow_ms with
+    | Some threshold_ms
+      when exit = Executed && r.verb = "query" && r.latency_ms > threshold_ms ->
+      count t "server.slow_query";
+      audit t (fun log -> Sobs.Audit_log.slow_query log ~threshold_ms r);
+      true
+    | _ -> false
+  in
+  if r.verb <> "sleep" then begin
+    audit t (fun log -> Sobs.Audit_log.request log r);
+    match t.recorder with
+    | Some recorder when exit <> Shed -> Sobs.Recorder.record recorder r
+    | _ -> ()
+  end;
+  (* Captured: answered queries, fast-path denials (a denied query
+     replays to the same empty answer, so it belongs in the workload)
+     and admitted writes.  A rejected update changed nothing, so
+     replaying the admitted sequence in order rebuilds the same
+     document versions; a write's digest is the group's-view digest,
+     the value replay recomputes and safe in capture files that
+     travel. *)
+  (match t.capture with
+  | Some cap
+    when exit = Denied
+         || exit = Executed && r.error = None
+            && (r.verb = "query" || r.verb = "update") ->
+    Sobs.Capture.write cap r
+  | _ -> ());
+  if exit = Executed || exit = Expired then
+    maybe_snapshot t ~status:r.status ~slow
+
 (* [reply] is the worker's own buffer: an answer's line is rendered
    into it and copied out once, into the reply cell. *)
 let run_job t psess reply job =
   let latency () = 1000. *. (Deadline.now () -. job.submitted) in
-  let log ?receipt ~status ~results ?error ~latency_ms () =
-    match job.work with
-    | Nap _ -> ()
-    | Do_update q ->
-      ignore results;
-      let field f = Option.map f receipt in
-      audit_update t ~rid:job.jrid ~session:job.jsession.sid
-        ~peer:job.jsession.peer ~group:job.jgroup ~doc:(doc_label t q)
-        ~update:q.text ~status
-        ?targets:(field (fun r -> r.Supdate.Engine.r_targets))
-        ?old_version:(field (fun r -> r.Supdate.Engine.r_old_version))
-        ?new_version:(field (fun r -> r.Supdate.Engine.r_new_version))
-        ~latency_ms ?error ()
-    | Answer q | Explain_query q ->
-      audit_request t ~rid:job.jrid ~session:job.jsession.sid
-        ~peer:job.jsession.peer ~group:job.jgroup ~doc:(doc_label t q)
-        ~query:q.text ~status ~results ~latency_ms ?error ()
-  in
+  let r0 = request t job.jsession ~rid:job.jrid ~group:job.jgroup job.work in
   let expired =
     match job.deadline_at with
     | Some d -> Deadline.now () > d
@@ -520,12 +541,13 @@ let run_job t psess reply job =
        don't burn a worker on a reply nobody is waiting for.  As in
        the executed path below, observability precedes the fill. *)
     count t "server.expired_in_queue";
-    let latency_ms = latency () in
-    log ~status:"timeout" ~results:0 ~error:"deadline exceeded in queue"
-      ~latency_ms ();
-    record_flight t job ~status:"timeout" ~results:0
-      ~error:"deadline exceeded in queue" ~latency_ms ~spans:[] ~counts:[] ();
-    maybe_snapshot t ~status:"timeout" ~slow:false;
+    finish t Expired
+      {
+        r0 with
+        status = "timeout";
+        error = Some "deadline exceeded in queue";
+        latency_ms = latency ();
+      };
     ignore
       (Deadline.fill job.cell
          (Protocol.line
@@ -535,64 +557,76 @@ let run_job t psess reply job =
   else begin
     let rid = job.jrid in
     let error_line e = Protocol.line (Protocol.error_of ~rid e) in
+    let failed e =
+      { r0 with status = "error"; error = Some (Secview.Error.to_string e) }
+    in
+    (* an answer's nodes, kept for the digest: it is built after the
+       request's span window closes *)
+    let answered = ref None in
     let run_work () =
       match job.work with
       | Nap s ->
         Thread.delay s;
         ( Protocol.line
             (Protocol.ok ~rid [ ("slept_ms", J.Float (1000. *. s)) ]),
-          "ok", 0, None, None, None )
+          r0 )
       | Explain_query q -> (
         match explain_query t psess ~rid ~group:job.jgroup q with
-        | Ok j -> (Protocol.line j, "ok", 0, None, None, None)
-        | Error e ->
-          ( error_line e, "error", 0, Some (Secview.Error.to_string e), None,
-            None ))
+        | Ok j -> (Protocol.line j, r0)
+        | Error e -> (error_line e, failed e))
       | Do_update q -> (
         match run_update psess t ~group:job.jgroup q with
-        | Ok r, _ ->
+        | Ok rc, _ ->
           (* the client-visible digest is of the group's view of the
              new document (Engine computed it) — the raw document's
              digest would be an equality oracle on hidden regions *)
           ( Protocol.line
               (Protocol.ok ~rid
                  [
-                   ("op", J.String r.Supdate.Engine.r_op);
-                   ("targets", J.Int r.Supdate.Engine.r_targets);
-                   ("old_version", J.Int r.Supdate.Engine.r_old_version);
-                   ("new_version", J.Int r.Supdate.Engine.r_new_version);
-                   ("digest", J.String r.Supdate.Engine.r_view_digest);
+                   ("op", J.String rc.Supdate.Engine.r_op);
+                   ("targets", J.Int rc.Supdate.Engine.r_targets);
+                   ("old_version", J.Int rc.Supdate.Engine.r_old_version);
+                   ("new_version", J.Int rc.Supdate.Engine.r_new_version);
+                   ("digest", J.String rc.Supdate.Engine.r_view_digest);
                  ]),
-            "ok",
-            r.Supdate.Engine.r_targets,
-            None,
-            None,
-            Some r )
+            {
+              r0 with
+              results = rc.Supdate.Engine.r_targets;
+              digest = Some rc.Supdate.Engine.r_view_digest;
+              doc_version = Some rc.Supdate.Engine.r_new_version;
+              targets = Some rc.Supdate.Engine.r_targets;
+              old_version = Some rc.Supdate.Engine.r_old_version;
+              new_version = Some rc.Supdate.Engine.r_new_version;
+            } )
         | Error e, detail ->
           (* the code is the status ("update_denied", "invalid_update"):
              a denial is the write path's headline outcome, and the
              flight recorder should say so without the error text.
              The audit/recorder error keeps the admission check's
              id-bearing detail; the reply already went out sanitized. *)
-          let audit_error =
-            match detail with
-            | Some d -> Secview.Error.to_string e ^ " [" ^ d ^ "]"
-            | None -> Secview.Error.to_string e
-          in
-          ( error_line e, Secview.Error.to_code e, 0, Some audit_error, None,
-            None ))
+          ( error_line e,
+            {
+              r0 with
+              status = Secview.Error.to_code e;
+              error = Some (Sobs.Request.audit_error e ~detail);
+            } ))
       | Answer q -> (
         match answer_query t psess ~group:job.jgroup q with
-        | Ok (nodes, translated, counts, version) ->
+        | Ok (o, version) ->
+          let nodes = o.Pipeline.o_results in
+          answered := Some nodes;
           ( Protocol.answer_line reply ~rid nodes,
-            "ok",
-            List.length nodes,
-            None,
-            Some (q, Some translated, counts, nodes, Some version),
-            None )
-        | Error e ->
-          ( error_line e, "error", 0, Some (Secview.Error.to_string e),
-            Some (q, None, [], [], None), None ))
+            {
+              r0 with
+              results = List.length nodes;
+              (* only the slow-query record shows it *)
+              translated =
+                (if t.config.slow_ms = None then None
+                 else Some (Sxpath.Print.to_string o.Pipeline.o_translated));
+              counts = o.Pipeline.o_counts;
+              doc_version = Some version;
+            } )
+        | Error e -> (error_line e, failed e))
     in
     (* the whole request runs inside a synthetic "request" root span:
        its children (per-thread) are exactly this request's stages,
@@ -602,127 +636,50 @@ let run_job t psess reply job =
       (t.config.slow_ms <> None || Option.is_some t.recorder)
       && (match job.work with Answer _ -> true | _ -> false)
     in
-    let (line, status, results, error, detail, receipt), spans =
+    let (line, r), spans =
       match t.tracer with
       | Some tr when want_spans -> Sobs.Tracer.with_request tr run_work
       | _ -> (run_work (), [])
     in
-    (* Observability lands BEFORE the reply cell is filled: the
-       moment a client sees its answer, the request must already be
-       in the flight ring, the capture stream and the counters — a
-       domain-parallel worker otherwise races clients that scrape or
-       dump flight right after a reply.  Lateness therefore can't
-       come from the fill outcome; the cell's own deadline decides it
-       (if it has passed, the connection thread has answered
-       [timeout] — or is about to, which loses the same way). *)
     let latency_ms = latency () in
     (* GC-aware attribution: the union of pause windows intersecting
        this request's span window.  Span and pause timestamps share
        the monotonic-clock timebase, so the comparison is direct.
        Only meaningful when spans were recorded — without them there
        is no monotonic window to intersect. *)
-    let gc_pause_ms, gc_pauses =
-      match t.runtime with
-      | None -> (0., 0)
-      | Some rt -> (
-        match Sobs.Tracer.window spans with
-        | Some (start_ns, stop_ns) ->
-          Sobs.Runtime.overlap rt ~start_ns ~stop_ns
-        | None -> (0., 0))
+    let gc_pause =
+      Option.map
+        (fun rt ->
+          match Sobs.Tracer.window spans with
+          | Some (start_ns, stop_ns) ->
+            Sobs.Runtime.overlap rt ~start_ns ~stop_ns
+          | None -> (0., 0))
+        t.runtime
     in
+    (* Lateness can't come from the fill outcome (observability lands
+       before the fill); the cell's own deadline decides it (if it has
+       passed, the connection thread has answered [timeout] — or is
+       about to, which loses the same way). *)
     let status =
       match job.deadline_at with
       | Some d when Deadline.now () > d -> "late"
-      | _ -> status
+      | _ -> r.status
     in
-    count t ("server.done." ^ status);
-    observe t ("server.latency_ms." ^ job.jgroup) latency_ms;
-    let slow =
-      match (t.config.slow_ms, detail) with
-      | Some thr, Some _ -> latency_ms > thr
-      | _ -> false
+    let digest =
+      match !answered with
+      | Some nodes when wants_digest t ->
+        Some
+          (Sobs.Capture.digest
+             (List.map (fun n -> Sxml.Print.to_string n) nodes))
+      | _ -> r.digest
     in
-    (match detail with
-    | Some (q, translated, counts, _, _) when slow ->
-      let thr = Option.get t.config.slow_ms in
-      count t "server.slow_query";
-      audit_slow t ~rid ~session:job.jsession.sid ~peer:job.jsession.peer
-        ~group:job.jgroup ~doc:(doc_label t q) ~query:q.text ?translated
-        ~latency_ms ~threshold_ms:thr
-        ~stages:(Sobs.Tracer.stage_totals spans)
-        ~counts
-        ?gc_pause_ms:
-          (if Option.is_some t.runtime then Some gc_pause_ms else None)
-        ?gc_pauses:(if Option.is_some t.runtime then Some gc_pauses else None)
-        ()
-    | _ -> ());
-    log ?receipt ~status ~results ?error ~latency_ms ();
-    (* The answer digest is over each node's XML: those strings are
-       built only here, when a recorder or a capture asks for them. *)
-    let answer_digest nodes =
-      Sobs.Capture.digest (List.map (fun n -> Sxml.Print.to_string n) nodes)
-    in
-    (if Option.is_some t.recorder then
-       let digest, counts, version =
-         match (detail, receipt) with
-         | Some (_, _, counts, nodes, v), _ when error = None ->
-           (Some (answer_digest nodes), counts, v)
-         | Some (_, _, counts, _, v), _ -> (None, counts, v)
-         | None, Some r ->
-           ( Some r.Supdate.Engine.r_view_digest, [],
-             Some r.Supdate.Engine.r_new_version )
-         | None, None -> (None, [], None)
-       in
-       record_flight t job ~status ~results ?error ?digest ?version
-         ~latency_ms ~gc_pause_ms ~gc_pauses ~spans ~counts ());
-    (match (t.capture, job.work, detail) with
-    | Some cap, Answer q, Some (_, _, _, nodes, _) when error = None ->
-      Sobs.Capture.write cap
-        {
-          Sobs.Capture.c_rid = rid;
-          c_verb = "query";
-          c_group = job.jgroup;
-          c_doc = q.doc;
-          c_query = q.text;
-          c_bind = q.bind;
-          c_index = q.use_index;
-          c_engine = Pipeline.engine_label t.config.engine;
-          c_status = "ok";
-          c_results = results;
-          c_digest = answer_digest nodes;
-          c_latency_ms = latency_ms;
-        }
-    | _ -> ());
-    (match (t.capture, job.work, receipt) with
-    | Some cap, Do_update q, Some r ->
-      (* only admitted writes are captured: a rejected update changed
-         nothing, so replaying the admitted sequence in order rebuilds
-         the same document versions.  The digest is the group's-view
-         digest — the same value replay recomputes, and safe to leave
-         in capture files that travel. *)
-      Sobs.Capture.write cap
-        {
-          Sobs.Capture.c_rid = rid;
-          c_verb = "update";
-          c_group = job.jgroup;
-          c_doc = q.doc;
-          c_query = q.text;
-          c_bind = q.bind;
-          c_index = false;
-          c_engine = Pipeline.engine_label t.config.engine;
-          c_status = "ok";
-          c_results = r.Supdate.Engine.r_targets;
-          c_digest = r.Supdate.Engine.r_view_digest;
-          c_latency_ms = latency_ms;
-        }
-    | _ -> ());
-    maybe_snapshot t ~status ~slow;
+    finish t Executed { r with status; latency_ms; gc_pause; spans; digest };
     ignore (Deadline.fill job.cell line : bool);
     (* keep a ~retain:false tracer's memory bounded: this thread's
        completed spans have served their purpose.  (The server's audit
        log must NOT itself hold this tracer — its drain would re-enter
-       the shared lock under [audit_request]; stage timings reach the
-       log through the slow-query record instead.) *)
+       the shared lock under [audit]; stage timings reach the log
+       through the slow-query record instead.) *)
     (match t.tracer with
     | Some tr -> ignore (Sobs.Tracer.drain_new tr)
     | None -> ())
@@ -866,56 +823,16 @@ let admission_fast_path t sess fd ~rid group (q : Protocol.query) =
       | Ok (Pipeline.Denied_empty witness) ->
         count t "server.admission.denied";
         write_all fd (Protocol.answer_line (Buffer.create 64) ~rid []);
-        let latency_ms = 1000. *. (Deadline.now () -. started) in
-        audit_request t ~rid ~session:sess.sid ~peer:sess.peer ~group
-          ~doc:(doc_label t q) ~query:q.text ~status:"denied_empty"
-          ~results:0 ~latency_ms ~error:witness ();
-        (match t.recorder with
-        | Some r ->
-          Sobs.Recorder.record r
-            {
-              Sobs.Recorder.rid;
-              verb = "query";
-              session = Some sess.sid;
-              peer = Some sess.peer;
-              group;
-              doc = Some (doc_label t q);
-              doc_version = doc_version t q;
-              query = q.text;
-              engine = Pipeline.engine_label t.config.engine;
-              admission = Some "denied";
-              status = "denied_empty";
-              error = Some witness;
-              results = 0;
-              digest = Some (Sobs.Capture.digest []);
-              latency_ms;
-              gc_pause_ms = 0.;
-              gc_pauses = 0;
-              ts_ns = Sobs.Clock.monotonic ();
-              spans = [];
-              counts = [];
-            }
-        | None -> ());
-        (match t.capture with
-        | Some cap ->
-          (* a denied query replays to the same empty answer, so it
-             belongs in the workload: capture it as such *)
-          Sobs.Capture.write cap
-            {
-              Sobs.Capture.c_rid = rid;
-              c_verb = "query";
-              c_group = group;
-              c_doc = q.doc;
-              c_query = q.text;
-              c_bind = q.bind;
-              c_index = q.use_index;
-              c_engine = Pipeline.engine_label t.config.engine;
-              c_status = "denied_empty";
-              c_results = 0;
-              c_digest = Sobs.Capture.digest [];
-              c_latency_ms = latency_ms;
-            }
-        | None -> ());
+        finish t Denied
+          {
+            (request t sess ~rid ~group (Answer q)) with
+            admission = Some "denied";
+            status = "denied_empty";
+            error = Some witness;
+            digest =
+              (if wants_digest t then Some (Sobs.Capture.digest []) else None);
+            latency_ms = 1000. *. (Deadline.now () -. started);
+          };
         true
       | Ok (Pipeline.Trivial | Pipeline.Needs_eval) | Error _ -> false
       | exception _ -> false))
@@ -951,14 +868,13 @@ let submit t sess fd ~rid work =
       send fd (Protocol.error_of ~rid (Secview.Error.Overloaded msg));
       (* overload rejections are audited too: a shed request must stay
          correlatable by rid, not vanish into a counter *)
-      (match work with
-      | Answer q | Explain_query q | Do_update q ->
-        audit_request t ~rid ~session:sess.sid ~peer:sess.peer
-          ~group:job.jgroup ~doc:(doc_label t q) ~query:q.text
-          ~status:"overloaded" ~results:0
-          ~latency_ms:(1000. *. (Deadline.now () -. submitted))
-          ~error:msg ()
-      | Nap _ -> ())
+      finish t Shed
+        {
+          (request t sess ~rid ~group:job.jgroup work) with
+          status = "overloaded";
+          error = Some msg;
+          latency_ms = 1000. *. (Deadline.now () -. submitted);
+        }
     | `Closed ->
       count t "server.rejected.draining";
       send fd (Protocol.error_of ~rid Secview.Error.Draining)

@@ -68,6 +68,13 @@
     per domain, never per group — a group cannot learn whether
     another group's traffic caused GC pressure.
 
+    {b One record per request.}  Every outcome — executed by a
+    worker, expired in the queue, denied on the admission fast path,
+    shed by a full queue — is built once as a {!Sobs.Request.t}, and
+    every sink below (counters, slow-query audit, audit, flight,
+    capture, flight snapshot) is a projection of that record, written
+    before the client sees its reply.
+
     {b Request correlation.}  Every request carries a rid — the
     client's ["rid"] field when supplied, a server-generated
     [r<session>-<n>] otherwise — stamped into the reply (success and
@@ -85,16 +92,16 @@
     ["request"] root span; see {!Sobs.Tracer.with_request}).
 
     {b Flight recorder.}  With [recorder] every completed
-    Answer/Explain job (and every fast-path denial) appends a full-
-    fidelity {!Sobs.Recorder.entry} — rid, principal, query, document
+    query/explain/update job (and every fast-path denial) appends its
+    full-fidelity {!Sobs.Request.t} — rid, principal, query, document
     version, engine, span tree, operator counts, answer digest,
     outcome — to the fixed-size ring; the session-less [flight] verb
     dumps it, and with [flight_snapshot] the ring is written to that
     file whenever a request ends in error/timeout/late or over the
     slow threshold.
 
-    {b Capture.}  With [capture] every successfully answered query
-    (and every fast-path denial) appends one replayable
+    {b Capture.}  With [capture] every successfully answered query,
+    admitted write and fast-path denial appends one replayable
     {!Sobs.Capture} JSONL record — rid, group, query, engine, answer
     digest, latency — for [secview replay]; the sink is closed on
     drain.

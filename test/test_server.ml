@@ -616,12 +616,14 @@ let check_code what want j =
   if reply_ok j then Alcotest.failf "%s unexpectedly succeeded" what;
   Alcotest.(check (option string)) what (Some want) (reply_code j)
 
-let with_server ?config ?audit ?recorder ?tracer ?runtime ~docs () k =
-  let dtd = Workload.Adex.dtd in
+let with_server ?config ?audit ?recorder ?tracer ?runtime ?capture
+    ?(dtd = Workload.Adex.dtd) ?(groups = adex_groups ()) ~docs () k =
   let catalog = Catalog.create () in
   List.iter (fun (n, d) -> ignore (Catalog.add catalog ~name:n d)) docs;
-  let service = Pipeline.Service.create ~catalog dtd ~groups:(adex_groups ()) in
-  let server = Server.create ?config ?audit ?recorder ?tracer ?runtime service in
+  let service = Pipeline.Service.create ~catalog dtd ~groups in
+  let server =
+    Server.create ?config ?audit ?recorder ?tracer ?runtime ?capture service
+  in
   let path = Filename.temp_file "secview-test" ".sock" in
   Sys.remove path;
   let th =
@@ -875,6 +877,166 @@ let test_server_drain_audit () =
   (* with_server joined the server thread on the way out, so the
      audit buffer is complete: every admitted query has its record *)
   check_audit buf queries
+
+(* ---- every sink, every outcome -------------------------------------- *)
+
+(* Rewrite the value of each ["key":…] member with [f]: a scalar runs
+   to the next [,] or [}], a list or object to its matching bracket. *)
+let map_members keys f line =
+  let b = Buffer.create (String.length line) in
+  let n = String.length line in
+  let rec skip i depth =
+    if i >= n then i
+    else
+      match line.[i] with
+      | '[' | '{' -> skip (i + 1) (depth + 1)
+      | (']' | '}') when depth > 0 ->
+        if depth = 1 then i + 1 else skip (i + 1) (depth - 1)
+      | (',' | '}') when depth = 0 -> i
+      | _ -> skip (i + 1) depth
+  in
+  let rec go i =
+    if i < n then
+      match
+        List.find_opt
+          (fun k ->
+            let pat = "\"" ^ k ^ "\":" in
+            let m = String.length pat in
+            i + m <= n && String.sub line i m = pat)
+          keys
+      with
+      | Some k ->
+        let start = i + String.length k + 3 in
+        let stop = skip start 0 in
+        Buffer.add_string b ("\"" ^ k ^ "\":");
+        Buffer.add_string b (f (String.sub line start (stop - start)));
+        go stop
+      | None ->
+        Buffer.add_char b line.[i];
+        go (i + 1)
+  in
+  go 0;
+  Buffer.contents b
+
+let mask keys = map_members keys (fun _ -> "_")
+
+let lines_of s = List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+
+(* One request per outcome — an answered query, a fast-path denial, a
+   failed query, an admitted write and a denied write — through a
+   server with every sink attached.  What each sink says about each
+   outcome is pinned byte for byte (timings masked): the audit log,
+   the flight recorder and the capture stream. *)
+let test_every_sink_golden () =
+  Pipeline.set_admission_analyzer Sanalysis.Semantic.admission;
+  let dtd = Workload.Hospital.dtd in
+  let spec =
+    Workload.Hospital.nurse_spec
+      ~write:
+        [
+          (("regular", "bill"), [ Secview.Spec.Replace ]);
+          (("patientInfo", "patient"), [ Secview.Spec.Delete ]);
+        ]
+      dtd
+  in
+  let buf = Buffer.create 1024 in
+  let audit =
+    Sobs.Audit_log.create ~clock:(fun () -> 0L) (Sobs.Audit_log.Buffer buf)
+  in
+  let recorder = Sobs.Recorder.create ~capacity:16 in
+  let cap_path = Filename.temp_file "secview-test" ".jsonl" in
+  let capture = Sobs.Capture.open_file cap_path in
+  let config =
+    { Server.default_config with domains = 1; slow_ms = Some 0. }
+  in
+  let bind = [ ("wardNo", "6") ] in
+  with_server ~config ~audit ~recorder ~capture ~dtd
+    ~groups:[ ("nurse", spec) ]
+    ~docs:[ ("ward", Workload.Hospital.sample_document ()) ]
+    ()
+    (fun _server path ->
+      let fd, ic = connect path in
+      send fd (Protocol.hello ~peer:"golden" "nurse");
+      Alcotest.(check bool) "hello" true (reply_ok (recv ic));
+      send fd (Protocol.query_json ~rid:"ok-1" ~bind "//patient/name");
+      Alcotest.(check bool) "answered" true (reply_ok (recv ic));
+      send fd (Protocol.query_json ~rid:"empty-1" ~doc:"ward" "//test");
+      Alcotest.(check bool) "denied empty" true (reply_ok (recv ic));
+      send fd (Protocol.query_json ~doc:"nosuch" "//patient");
+      check_code "unknown document" Protocol.unknown_document (recv ic);
+      send fd
+        (Protocol.update_json ~rid:"w-1" ~bind
+           "replace //patient[name = \"Bob\"]//bill with <bill>150</bill>");
+      Alcotest.(check bool) "write admitted" true (reply_ok (recv ic));
+      send fd
+        (Protocol.update_json ~doc:"ward" ~bind
+           "delete //patient[name = \"Bob\"]");
+      check_code "write denied" "update_denied" (recv ic);
+      Unix.close fd);
+  let flight =
+    List.map
+      (fun e -> J.to_string (Sobs.Recorder.entry_json e))
+      (Sobs.Recorder.entries recorder)
+  in
+  (* document versions are process-global stamps: count them from the
+     version the first query pinned *)
+  let base =
+    match J.of_string (List.hd flight) with
+    | Ok j -> Option.get (Option.bind (J.member "doc_version" j) J.to_int_opt)
+    | Error e -> Alcotest.fail e
+  in
+  let rebase =
+    map_members [ "doc_version"; "old_version"; "new_version" ] (function
+      | "null" -> "null"
+      | v -> string_of_int (int_of_string v - base + 1))
+  in
+  let audit_lines =
+    List.map
+      (fun l -> rebase (mask [ "latency_ms" ] l))
+      (lines_of (Buffer.contents buf))
+  in
+  let flight_lines =
+    List.map
+      (fun l -> rebase (mask [ "ts_ns"; "latency_ms"; "spans" ] l))
+      flight
+  in
+  let capture_lines =
+    let ic = open_in cap_path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove cap_path;
+    List.map (mask [ "latency_ms" ]) (lines_of s)
+  in
+  let check what expected got =
+    Alcotest.(check (list string)) what expected got
+  in
+  check "audit"
+    [
+      {|{"type":"slow_query","ts_ns":0,"rid":"ok-1","session":1,"peer":"golden","doc":"ward","group":"nurse","query":"//patient/name","translated":"dept[patientInfo/patient/wardNo = $wardNo]/(clinicalTrial/patientInfo | patientInfo)/patient/name","latency_ms":_,"threshold_ms":0,"stages_ms":{},"op_counts":{"scanned":38,"probes":0,"joined":0,"rows":3},"gc_pause_ms":null,"gc_pauses":null}|};
+      {|{"type":"request","ts_ns":0,"rid":"ok-1","session":1,"peer":"golden","group":"nurse","doc":"ward","query":"//patient/name","status":"ok","results":3,"latency_ms":_,"error":null}|};
+      {|{"type":"request","ts_ns":0,"rid":"empty-1","session":1,"peer":"golden","group":"nurse","doc":"ward","query":"//test","status":"denied_empty","results":0,"latency_ms":_,"error":"step test: test is not an element type of the DTD"}|};
+      {|{"type":"slow_query","ts_ns":0,"rid":"r1-2","session":1,"peer":"golden","doc":"nosuch","group":"nurse","query":"//patient","translated":null,"latency_ms":_,"threshold_ms":0,"stages_ms":{},"op_counts":{},"gc_pause_ms":null,"gc_pauses":null}|};
+      {|{"type":"request","ts_ns":0,"rid":"r1-2","session":1,"peer":"golden","group":"nurse","doc":"nosuch","query":"//patient","status":"error","results":0,"latency_ms":_,"error":"unknown document \"nosuch\" (have: ward)"}|};
+      {|{"type":"update","ts_ns":0,"rid":"w-1","session":1,"peer":"golden","group":"nurse","doc":"ward","update":"replace //patient[name = \"Bob\"]//bill with <bill>150</bill>","status":"ok","targets":1,"old_version":1,"new_version":2,"latency_ms":_,"error":null}|};
+      {|{"type":"update_denied","ts_ns":0,"rid":"r1-3","session":1,"peer":"golden","group":"nurse","doc":"ward","update":"delete //patient[name = \"Bob\"]","status":"update_denied","targets":null,"old_version":null,"new_version":null,"latency_ms":_,"error":"target subtree contains inaccessible content [target subtree at node id 16 contains inaccessible node id 22]"}|};
+    ]
+    audit_lines;
+  check "flight"
+    [
+      {|{"rid":"ok-1","verb":"query","ts_ns":_,"session":1,"peer":"golden","group":"nurse","doc":"ward","doc_version":1,"query":"//patient/name","engine":"plan","admission":null,"status":"ok","error":null,"results":3,"digest":"536259eac4535127cce5b3992705ef3e","latency_ms":_,"gc_pause_ms":0,"gc_pauses":0,"spans":_,"op_counts":{"scanned":38,"probes":0,"joined":0,"rows":3}}|};
+      {|{"rid":"empty-1","verb":"query","ts_ns":_,"session":1,"peer":"golden","group":"nurse","doc":"ward","doc_version":1,"query":"//test","engine":"plan","admission":"denied","status":"denied_empty","error":"step test: test is not an element type of the DTD","results":0,"digest":"d41d8cd98f00b204e9800998ecf8427e","latency_ms":_,"gc_pause_ms":0,"gc_pauses":0,"spans":_,"op_counts":{}}|};
+      {|{"rid":"r1-2","verb":"query","ts_ns":_,"session":1,"peer":"golden","group":"nurse","doc":"nosuch","doc_version":null,"query":"//patient","engine":"plan","admission":null,"status":"error","error":"unknown document \"nosuch\" (have: ward)","results":0,"digest":null,"latency_ms":_,"gc_pause_ms":0,"gc_pauses":0,"spans":_,"op_counts":{}}|};
+      {|{"rid":"w-1","verb":"update","ts_ns":_,"session":1,"peer":"golden","group":"nurse","doc":"ward","doc_version":2,"query":"replace //patient[name = \"Bob\"]//bill with <bill>150</bill>","engine":"plan","admission":null,"status":"ok","error":null,"results":1,"digest":"becff76e30ec6b04b2a832129dbc1abf","latency_ms":_,"gc_pause_ms":0,"gc_pauses":0,"spans":_,"op_counts":{}}|};
+      {|{"rid":"r1-3","verb":"update","ts_ns":_,"session":1,"peer":"golden","group":"nurse","doc":"ward","doc_version":2,"query":"delete //patient[name = \"Bob\"]","engine":"plan","admission":null,"status":"update_denied","error":"target subtree contains inaccessible content [target subtree at node id 16 contains inaccessible node id 22]","results":0,"digest":null,"latency_ms":_,"gc_pause_ms":0,"gc_pauses":0,"spans":_,"op_counts":{}}|};
+    ]
+    flight_lines;
+  check "capture"
+    [
+      {|{"v":2,"rid":"ok-1","verb":"query","group":"nurse","doc":null,"query":"//patient/name","bind":{"wardNo":"6"},"index":false,"engine":"plan","status":"ok","results":3,"digest":"536259eac4535127cce5b3992705ef3e","latency_ms":_}|};
+      {|{"v":2,"rid":"empty-1","verb":"query","group":"nurse","doc":"ward","query":"//test","bind":{},"index":false,"engine":"plan","status":"denied_empty","results":0,"digest":"d41d8cd98f00b204e9800998ecf8427e","latency_ms":_}|};
+      {|{"v":2,"rid":"w-1","verb":"update","group":"nurse","doc":null,"query":"replace //patient[name = \"Bob\"]//bill with <bill>150</bill>","bind":{"wardNo":"6"},"index":false,"engine":"plan","status":"ok","results":1,"digest":"becff76e30ec6b04b2a832129dbc1abf","latency_ms":_}|};
+    ]
+    capture_lines
 
 (* ---- the answer's wire line ---------------------------------------- *)
 
@@ -1154,6 +1316,8 @@ let () =
           Alcotest.test_case "drain flushes audit" `Quick
             test_server_drain_audit;
           Alcotest.test_case "line framing" `Quick test_server_line_framing;
+          Alcotest.test_case "every sink, every outcome" `Quick
+            test_every_sink_golden;
         ] );
       ( "reply line",
         [

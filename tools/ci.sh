@@ -137,6 +137,12 @@ if dune exec --no-build bench/main.exe -- --serve > /dev/null 2>&1; then
   exit 1
 fi
 echo "-- unknown bench mode rejected"
+if dune exec --no-build bench/main.exe -- --quick --json --engines \
+  --out "$TMP/both.json" > /dev/null 2>&1; then
+  echo "bench/main.exe accepted one --out for two JSON-writing modes" >&2
+  exit 1
+fi
+echo "-- one --out for two JSON-writing modes rejected"
 
 # The regression gate itself is gated: its self-test, then a diff of a
 # report against itself (which must never regress).
